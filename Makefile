@@ -7,12 +7,15 @@
 #   make figures regenerate the full figure output
 #   make trace   record + validate a Perfetto trace of the fig8a probe
 #   make parity  prove -jobs 1 and -jobs 4 stdout are byte-identical
-#   make bench   run the repo benchmarks and emit BENCH_10.json
+#   make bench   run the repo benchmarks and emit $(BENCH_OUT)
 #   make simcheck-bench  time the whole-module analysis; fail beyond 60s
 
 GO ?= go
 
-.PHONY: check build vet simcheck simcheck-bench test race shuffle soak figures trace parity bench
+# Benchmark report file; CI asks for it with `make -s bench-out`.
+BENCH_OUT = BENCH_12.json
+
+.PHONY: check build vet simcheck simcheck-bench test race shuffle soak figures trace parity bench bench-out
 
 check: build vet simcheck test
 
@@ -89,7 +92,13 @@ parity:
 
 # Benchmark report: one timed pass over the repository benchmarks
 # (-benchtime=1x keeps it minutes, and allocs/op is exact either way),
-# parsed into BENCH_10.json by cmd/benchjson. CI uploads the file as an
-# artifact so runs can be diffed for perf/allocation regressions.
+# plus the internal/sim micro-benchmarks on the default time budget (one
+# op there is a single switch), parsed into $(BENCH_OUT) by
+# cmd/benchjson. CI uploads the file as an artifact so runs can be diffed
+# for perf/allocation regressions.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/mpi | $(GO) run ./cmd/benchjson -out BENCH_10.json
+	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/mpi && \
+	  $(GO) test -run '^$$' -bench . -benchmem ./internal/sim; } | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
+
+bench-out:
+	@echo $(BENCH_OUT)

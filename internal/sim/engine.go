@@ -8,12 +8,14 @@
 // next event. Ties are broken by insertion order, so a simulation with a
 // fixed seed is fully reproducible.
 //
-// Simthreads are backed by goroutines but synchronized with a baton
-// hand-off, so the simulation is sequential and race-free by construction.
+// Simthreads are iter.Pull coroutines: the engine resumes one and it
+// switches straight back when it blocks, without the Go scheduler, so the
+// simulation is sequential and race-free by construction.
 //
-// sim is the foundation of the deterministic core (docs/ARCHITECTURE.md)
-// and the only core package allowed goroutines — everything above it gets
-// concurrency exclusively through this scheduler.
+// sim is the foundation of the deterministic core (docs/ARCHITECTURE.md).
+// Like every core package it uses no goroutines, channels or sync
+// primitives — everything above it gets concurrency exclusively through
+// this scheduler.
 package sim
 
 import (
@@ -35,12 +37,10 @@ type Engine struct {
 	q   eventQueue
 	rng *Rand
 
-	threads []*Thread
-	running *Thread // thread currently holding the baton, nil if engine runs
-	baton   chan struct{}
-
-	kill      chan struct{} // closed on shutdown; parked threads abort
+	threads   []*Thread
+	running   *Thread // thread currently executing, nil if engine runs
 	stopped   bool
+	failed    error // first simthread panic; Run returns it
 	eventsRun uint64
 
 	// MaxEvents aborts the run when exceeded (safety against runaway
@@ -67,11 +67,7 @@ const wallCheckEvery = 1024
 
 // NewEngine returns an engine whose random stream is derived from seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{
-		rng:   NewRand(seed),
-		baton: make(chan struct{}),
-		kill:  make(chan struct{}),
-	}
+	return &Engine{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -176,20 +172,14 @@ func (e *Engine) Spawn(name string, fn func(t *Thread)) *Thread {
 // SpawnAt creates a simthread that begins executing fn at virtual time
 // start.
 func (e *Engine) SpawnAt(start Time, name string, fn func(t *Thread)) *Thread {
-	t := &Thread{
-		eng:    e,
-		id:     len(e.threads),
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateNew,
-	}
+	t := &Thread{eng: e, id: len(e.threads), name: name, state: stateNew}
+	t.coroutine(fn)
 	e.threads = append(e.threads, t)
-	go t.run(fn)
 	e.atThread(start, t)
 	return t
 }
 
-// dispatch hands the baton to t and waits for it to block or finish.
+// dispatch resumes t's coroutine until it blocks or finishes.
 //
 //simcheck:hotpath runs once per thread wakeup; stays allocation-free
 func (e *Engine) dispatch(t *Thread) {
@@ -198,16 +188,21 @@ func (e *Engine) dispatch(t *Thread) {
 	}
 	t.setState(stateRunning)
 	e.running = t
-	t.resume <- struct{}{}
-	<-e.baton
+	t.next()
 	e.running = nil
 }
 
 // Run dispatches events until the queue is empty or the simulation is
 // stopped. It returns an error if simthreads remain parked when no events
-// are left (a deadlock), or if a configured limit was exceeded.
-func (e *Engine) Run() error {
-	defer e.shutdown()
+// are left (a deadlock), if a configured limit was exceeded, or if a
+// simthread panicked (naming the thread, with the panic value and stack).
+func (e *Engine) Run() (err error) {
+	defer func() {
+		e.shutdown()
+		if e.failed != nil {
+			err = e.failed
+		}
+	}()
 	wallStart := time.Now() //simcheck:allow nodeterm wall-clock watchdog; never feeds simulation state
 	for !e.stopped {
 		ev := e.q.pop()
@@ -290,20 +285,16 @@ func (e *Engine) ThreadDump() string {
 // callbacks; from simthread context prefer calling Stop and then parking.
 func (e *Engine) Stop() { e.stopped = true }
 
-// shutdown terminates all still-blocked simthread goroutines and recycles
-// any events left in the queue (releasing the closures they reference).
+// shutdown stops every unfinished simthread in thread-id order — a blocked
+// one unwinds via killed, a never-dispatched one is marked done without
+// running — and recycles any events left in the queue (releasing the
+// closures they reference). Stopping a finished coroutine is a no-op.
 func (e *Engine) shutdown() {
-	close(e.kill)
 	for _, t := range e.threads {
-		if t.state == stateParked || t.state == stateSleeping || t.state == stateNew {
-			// Unblock the goroutine; it aborts via killErr.
-			select {
-			case t.resume <- struct{}{}:
-				<-e.baton
-			default:
-				// Goroutine already observed the kill channel.
-			}
+		if t.state == stateNew {
+			t.setState(stateDone)
 		}
+		t.stop()
 	}
 	e.q.drain()
 }

@@ -1,6 +1,14 @@
+//go:build go1.23
+
+// The constraint lifts this file, the module's only iter user, to go1.23.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
 // ThreadState is a simthread's scheduling state, exposed to observers via
 // Engine.OnThreadState.
@@ -32,19 +40,22 @@ func (s ThreadState) String() string {
 	}
 }
 
-// killed is the panic payload used to unwind a simthread goroutine when the
+// killed is the panic payload used to unwind a simthread body when the
 // engine shuts down while the thread is still blocked.
 type killed struct{}
 
-// Thread is a cooperative simulated thread. All methods must be called from
-// the thread's own function (the engine guarantees only one simthread runs
-// at a time, so no further synchronization is needed).
+// Thread is a cooperative simulated thread, run as an iter.Pull coroutine
+// that switches to and from the engine without the Go scheduler. All
+// methods must be called from the thread's own function (only one
+// simthread runs at a time, so no further synchronization is needed).
 type Thread struct {
 	eng    *Engine
 	id     int
 	name   string
-	resume chan struct{}
 	state  ThreadState
+	next   func() (struct{}, bool) // runs the body until it yields or ends
+	stop   func()                  // unwinds a suspended body (shutdown)
+	yieldF func(struct{}) bool     // suspends the body; false means unwind
 
 	// Data carries user context (e.g. the machine placement of the
 	// thread). The simulator itself never inspects it.
@@ -85,41 +96,30 @@ func (t *Thread) Engine() *Engine { return t.eng }
 // Now returns the current virtual time.
 func (t *Thread) Now() Time { return t.eng.now }
 
-// run is the goroutine body wrapping the user function.
-func (t *Thread) run(fn func(*Thread)) {
-	<-t.resume // wait for first dispatch
-	select {
-	case <-t.eng.kill:
-		t.setState(stateDone)
-		t.eng.baton <- struct{}{}
-		return
-	default:
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); ok {
-				t.setState(stateDone)
-				t.eng.baton <- struct{}{}
-				return
+// coroutine wraps fn as the thread's iter.Pull body. However the body
+// ends, the thread becomes done: a killed unwind is the engine shutting
+// down, and any other panic stops the engine, which reports it from Run.
+func (t *Thread) coroutine(fn func(*Thread)) {
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+		t.yieldF = yield
+		defer func() {
+			r := recover()
+			if _, ok := r.(killed); r != nil && !ok && t.eng.failed == nil {
+				t.eng.failed = fmt.Errorf("sim: thread %q panicked: %v\n%s", t.name, r, debug.Stack())
+				t.eng.stopped = true
 			}
-			panic(r)
-		}
-	}()
-	fn(t)
-	t.setState(stateDone)
-	t.eng.baton <- struct{}{}
+			t.setState(stateDone)
+		}()
+		fn(t)
+	})
 }
 
-// yield transfers control to the engine and blocks until redispatched.
+// yield suspends the body back into the engine's dispatch and returns when
+// redispatched; if the engine stops it instead, it unwinds via killed.
 func (t *Thread) yield() {
-	t.eng.baton <- struct{}{}
-	<-t.resume
-	select {
-	case <-t.eng.kill:
+	if !t.yieldF(struct{}{}) {
 		panic(killed{})
-	default:
 	}
-	t.setState(stateRunning)
 }
 
 // Sleep advances this thread's local time by d nanoseconds, letting other
