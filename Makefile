@@ -1,6 +1,7 @@
 # Single entry point for local development and CI.
 #
-#   make check   build + vet + simcheck + test — what CI gates on
+#   make check   build + fmt + vet + simcheck + test — what CI gates on
+#   make fmt     fail if any Go file of the main module is not gofmt-clean
 #   make race    full test suite under the race detector
 #   make shuffle test suite with shuffled execution order
 #   make soak    quick chaos-experiment soak run
@@ -11,16 +12,23 @@
 #   make simcheck-bench  time the whole-module analysis; fail beyond 60s
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Benchmark report file; CI asks for it with `make -s bench-out`.
 BENCH_OUT = BENCH_12.json
 
-.PHONY: check build vet simcheck simcheck-bench test race shuffle soak figures trace parity bench bench-out
+.PHONY: check build fmt vet simcheck simcheck-bench test race shuffle soak figures trace parity bench bench-out
 
-check: build vet simcheck test
+check: build fmt vet simcheck test
 
 build:
 	$(GO) build ./...
+
+# Formatting gate over the main module; perfbench/ is a separate module
+# and .bench_build/ holds its build caches.
+fmt:
+	@out=$$($(GOFMT) -l $$(find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go' -print)); \
+	if [ -n "$$out" ]; then echo "gofmt -l: files need formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -403,7 +403,7 @@ func TestFailedRequestIsNotPooled(t *testing.T) {
 	w.SetErrhandler(ErrorsReturn)
 	p := w.Procs[0]
 
-	bad := w.allocRequest()
+	bad := p.allocReq(0)
 	*bad = Request{p: p, kind: SendReq, dst: 1, poolable: true}
 	p.outstanding++
 	bad.fail(ErrProcFailed, 0)
@@ -411,11 +411,11 @@ func TestFailedRequestIsNotPooled(t *testing.T) {
 	if err := bad.release(); err == nil {
 		t.Fatal("release must surface the failure")
 	}
-	if w.reqFree != nil {
+	if p.vcis[0].reqFree != nil {
 		t.Fatal("failed request was recycled into the pool")
 	}
 
-	good := w.allocRequest()
+	good := p.allocReq(0)
 	*good = Request{p: p, kind: SendReq, dst: 1, poolable: true}
 	p.outstanding++
 	good.markComplete(0)
@@ -423,7 +423,7 @@ func TestFailedRequestIsNotPooled(t *testing.T) {
 	if err := good.release(); err != nil {
 		t.Fatal(err)
 	}
-	if w.reqFree != good {
+	if p.vcis[0].reqFree != good {
 		t.Fatal("healthy poolable request was not recycled")
 	}
 }

@@ -1,9 +1,16 @@
 package mpi
 
-// This file defines the critical-section protocol itself: mainBegin/
-// mainEnd, stateBegin/stateEnd, and the csLock enter/exit helpers open
-// and close sections across function boundaries by design. The lockpair
-// analyzer enforces pairing at their call sites throughout the package.
+// This file defines the critical-section protocol itself, the only one
+// the runtime has: every section an MPI call opens is named by the VCI
+// shard it guards. mainBegin/mainEnd, stateBegin/stateEnd and
+// progressRound take that shard index and are the one place the
+// configured Granularity is switched on; wildBegin/wildEnd own every
+// shard at once for the cross-VCI wildcard path. The global critical
+// section of the paper is shard 0 of a one-VCI proc. Brief/Fine/LockFree
+// only ever see v == 0, because NewWorld rejects more than one VCI under
+// any granularity but GranGlobal. The helpers open and close sections
+// across function boundaries by design; the lockpair analyzer enforces
+// pairing at their call sites throughout the package.
 //
 //simcheck:allow-file lockpair protocol wrappers; pairing is enforced at call sites
 
@@ -140,25 +147,27 @@ func (c *csLock) exit(th *Thread, cl simlock.Class) {
 // section under GranBrief/GranFine (the queue update itself).
 const briefCSWork = 60
 
-// mainBegin opens an MPI call's main-path state section, charging the
-// main-path work split according to the granularity. Callers must pair it
-// with mainEnd.
-func (th *Thread) mainBegin() {
+// mainBegin opens the main-path section of an MPI call mapped to shard v,
+// charging the main-path work split according to the granularity: all of
+// it inside the section (Global), only the queue update inside (Brief,
+// Fine), or none of it guarded (LockFree). Callers must pair it with
+// mainEnd.
+func (th *Thread) mainBegin(v int) {
 	th.checkCrashed()
 	th.checkThreadLevel()
 	cost := th.cost()
 	p := th.P
-	switch p.w.Cfg.Granularity {
-	case GranGlobal:
-		p.vcis[0].cs.enter(th, simlock.High)
-		th.S.Sleep(cost.MainPathWork)
-	case GranBrief:
-		th.S.Sleep(cost.MainPathWork - briefCSWork)
-		// The held-lock walk is flow-insensitive and sees the GranGlobal
-		// arm's enter as still held here; switch cases are exclusive.
-		//simcheck:allow lockorder granularity arms are mutually exclusive; the GranGlobal enter is a different mode
-		p.vcis[0].cs.enter(th, simlock.High)
-		th.S.Sleep(briefCSWork)
+	switch g := p.w.Cfg.Granularity; g {
+	case GranGlobal, GranBrief:
+		inside := cost.MainPathWork
+		if g == GranBrief {
+			// Sleep(0) would still schedule an event and yield, so the
+			// global arm must not take this branch at all.
+			th.S.Sleep(cost.MainPathWork - briefCSWork)
+			inside = briefCSWork
+		}
+		p.vcis[v].cs.enter(th, simlock.High)
+		th.S.Sleep(inside)
 	case GranFine:
 		th.S.Sleep(cost.MainPathWork - briefCSWork)
 		p.queueCS.enter(th, simlock.High)
@@ -169,27 +178,17 @@ func (th *Thread) mainBegin() {
 }
 
 // mainEnd closes the section opened by mainBegin.
-func (th *Thread) mainEnd() {
-	p := th.P
-	switch p.w.Cfg.Granularity {
-	case GranGlobal, GranBrief:
-		p.vcis[0].cs.exit(th, simlock.High)
-	case GranFine:
-		p.queueCS.exit(th, simlock.High)
-	case GranLockFree:
-	}
-	th.exitThreadLevel()
-}
+func (th *Thread) mainEnd(v int) { th.stateEnd(v, simlock.High) }
 
-// stateBegin opens a short request-state section (completion checks,
-// frees) without charging main-path work.
-func (th *Thread) stateBegin(cl simlock.Class) {
+// stateBegin opens a short request-state section on shard v (completion
+// checks, frees) without charging main-path work.
+func (th *Thread) stateBegin(v int, cl simlock.Class) {
 	th.checkCrashed()
 	th.checkThreadLevel()
 	p := th.P
 	switch p.w.Cfg.Granularity {
 	case GranGlobal, GranBrief:
-		p.vcis[0].cs.enter(th, cl)
+		p.vcis[v].cs.enter(th, cl)
 	case GranFine:
 		p.queueCS.enter(th, cl)
 	case GranLockFree:
@@ -197,12 +196,12 @@ func (th *Thread) stateBegin(cl simlock.Class) {
 	}
 }
 
-// stateEnd closes a stateBegin section.
-func (th *Thread) stateEnd(cl simlock.Class) {
+// stateEnd closes a stateBegin (or mainBegin) section.
+func (th *Thread) stateEnd(v int, cl simlock.Class) {
 	p := th.P
 	switch p.w.Cfg.Granularity {
 	case GranGlobal, GranBrief:
-		p.vcis[0].cs.exit(th, cl)
+		p.vcis[v].cs.exit(th, cl)
 	case GranFine:
 		p.queueCS.exit(th, cl)
 	case GranLockFree:
@@ -210,16 +209,17 @@ func (th *Thread) stateEnd(cl simlock.Class) {
 	th.exitThreadLevel()
 }
 
-// progressRound runs one progress-engine iteration with the granularity's
-// locking: under Global/Brief the whole poll holds the global CS (the
-// paper's progress loop); under Fine the completion queue is drained under
-// the NIC lock and each event is handled under the queue lock; under
-// LockFree only atomic costs are charged. cl is the scheduling class used
-// for global-CS acquisition (Low in blocking progress loops, High in
-// MPI_Test). If post is non-nil it runs under request-state protection —
-// inside the same critical-section hold where the granularity allows —
-// letting callers check and free requests as MPICH's progress loop does.
-func (th *Thread) progressRound(cl simlock.Class, post func()) {
+// progressRound runs one progress-engine iteration on shard v with the
+// granularity's locking: under Global/Brief the whole poll holds the
+// shard's section (the paper's progress loop); under Fine the completion
+// queue is drained under the NIC lock and each event is handled under the
+// queue lock; under LockFree only atomic costs are charged. cl is the
+// scheduling class of the acquisitions (Low in blocking progress loops,
+// High in MPI_Test). If post is non-nil it runs under request-state
+// protection — inside the same critical-section hold where the
+// granularity allows — letting callers check and free requests as
+// MPICH's progress loop does.
+func (th *Thread) progressRound(v int, cl simlock.Class, post func()) {
 	th.checkCrashed()
 	th.checkThreadLevel()
 	defer th.exitThreadLevel()
@@ -227,13 +227,14 @@ func (th *Thread) progressRound(cl simlock.Class, post func()) {
 	cost := th.cost()
 	switch p.w.Cfg.Granularity {
 	case GranGlobal, GranBrief:
-		p.vcis[0].cs.enter(th, cl)
-		p.pollOnce(th)
+		p.vcis[v].cs.enter(th, cl)
+		p.pollShard(th, v, 0)
 		if post != nil {
 			post()
 		}
-		p.vcis[0].cs.exit(th, cl)
+		p.vcis[v].cs.exit(th, cl)
 	case GranFine:
+		sh := p.vcis[v]
 		p.nicCS.enter(th, cl)
 		var pollFrom int64
 		if p.w.tel != nil {
@@ -242,9 +243,9 @@ func (th *Thread) progressRound(cl simlock.Class, post func()) {
 		th.S.Sleep(cost.ProgressPollWork)
 		p.Polls++
 		var pkts []*fabric.Packet
-		for len(p.vcis[0].cq) > 0 && len(pkts) < maxEventsPerPoll {
-			pkts = append(pkts, p.vcis[0].cq[0])
-			p.vcis[0].cq = p.vcis[0].cq[1:]
+		for len(sh.cq) > 0 && len(pkts) < maxEventsPerPoll {
+			pkts = append(pkts, sh.cq[0])
+			sh.cq = sh.cq[1:]
 		}
 		th.holdUseful = len(pkts) > 0
 		if p.w.tel != nil {
@@ -253,20 +254,15 @@ func (th *Thread) progressRound(cl simlock.Class, post func()) {
 		p.nicCS.exit(th, cl)
 		if len(pkts) == 0 {
 			th.pollBackoff++
-			if post != nil {
-				p.queueCS.enter(th, cl)
-				post()
-				p.queueCS.exit(th, cl)
-			}
-			return
+		} else {
+			th.pollBackoff = 0
 		}
-		th.pollBackoff = 0
 		for _, pkt := range pkts {
 			p.queueCS.enter(th, cl)
 			th.S.Sleep(cost.ProgressHandleWork)
 			p.handlePacket(th, pkt)
 			if p.rel == nil {
-				p.w.Fab.FreePacket(pkt) // see pollOnce: fault-free packets die here
+				p.w.Fab.FreePacket(pkt) // see pollShard: fault-free packets die here
 			}
 			p.queueCS.exit(th, cl)
 		}
@@ -276,35 +272,37 @@ func (th *Thread) progressRound(cl simlock.Class, post func()) {
 			p.queueCS.exit(th, cl)
 		}
 	case GranLockFree:
-		var pollFrom int64
-		if p.w.tel != nil {
-			pollFrom = th.S.Now()
-		}
-		th.S.Sleep(cost.ProgressPollWork + cost.AtomicOpCost)
-		p.Polls++
-		handled := 0
-		for len(p.vcis[0].cq) > 0 && handled < maxEventsPerPoll {
-			pkt := p.vcis[0].cq[0]
-			p.vcis[0].cq[0] = nil
-			p.vcis[0].cq = p.vcis[0].cq[1:]
-			th.S.Sleep(cost.ProgressHandleWork + cost.AtomicOpCost)
-			p.handlePacket(th, pkt)
-			if p.rel == nil {
-				p.w.Fab.FreePacket(pkt) // see pollOnce: fault-free packets die here
-			}
-			handled++
-		}
-		if p.w.tel != nil {
-			p.w.tel.Poll(th.S.ID(), pollFrom, th.S.Now(), handled)
-		}
-		if handled > 0 {
-			th.pollBackoff = 0
-		} else {
-			th.pollBackoff++
-		}
+		// Idealized atomic queues: the shard's poll with one atomic
+		// operation charged per poll and per handled event.
+		p.pollShard(th, v, cost.AtomicOpCost)
 		if post != nil {
 			th.S.Sleep(cost.AtomicOpCost)
 			post()
 		}
 	}
+}
+
+// wildBegin opens the cross-VCI wildcard section: every shard's critical
+// section, acquired in ascending shard order (the module-wide discipline
+// that makes the multi-acquire deadlock-free; the lock-identity layer
+// canonicalizes the indexed acquisitions as one ordered class). Main-path
+// work is charged once, after the last acquisition. Only reached with
+// more than one VCI, hence only under GranGlobal.
+func (th *Thread) wildBegin() {
+	th.checkCrashed()
+	th.checkThreadLevel()
+	p := th.P
+	for v := range p.vcis {
+		p.vcis[v].cs.enter(th, simlock.High)
+	}
+	th.S.Sleep(th.cost().MainPathWork)
+}
+
+// wildEnd closes a wildBegin section, releasing in reverse order.
+func (th *Thread) wildEnd() {
+	p := th.P
+	for v := len(p.vcis) - 1; v >= 0; v-- {
+		p.vcis[v].cs.exit(th, simlock.High)
+	}
+	th.exitThreadLevel()
 }

@@ -262,15 +262,13 @@ func TestDanglingAccounting(t *testing.T) {
 		r := th.Irecv(c, 0, 0)
 		// Busy-wait without freeing: once complete, it must be dangling.
 		for !r.Complete() {
-			th.enter(simlock.Low)
-			th.P.pollOnce(th)
-			th.exit(simlock.Low)
+			th.progressRound(0, simlock.Low, nil)
 			th.progressYield()
 		}
 		midCount = w.DanglingNow()
-		th.enter(simlock.High)
+		th.stateBegin(0, simlock.High)
 		r.free()
-		th.exit(simlock.High)
+		th.stateEnd(0, simlock.High)
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)

@@ -250,7 +250,7 @@ func TestOnCompleteErrorBeforeRecycle(t *testing.T) {
 	p := w.Procs[0]
 
 	for _, code := range []Errcode{ErrProcFailed, ErrTimeout} {
-		bad := w.allocRequest()
+		bad := p.allocReq(0)
 		*bad = Request{p: p, kind: SendReq, dst: 1, poolable: true}
 		p.outstanding++
 		var sawErr error
@@ -273,12 +273,12 @@ func TestOnCompleteErrorBeforeRecycle(t *testing.T) {
 		if !bad.freed {
 			t.Fatalf("%v: fired request was not freed", code)
 		}
-		if w.reqFree != nil {
+		if p.vcis[0].reqFree != nil {
 			t.Fatalf("%v: failed request was recycled into the pool", code)
 		}
 	}
 
-	good := w.allocRequest()
+	good := p.allocReq(0)
 	*good = Request{p: p, kind: SendReq, dst: 1, poolable: true}
 	p.outstanding++
 	fired := 0
@@ -292,7 +292,7 @@ func TestOnCompleteErrorBeforeRecycle(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("healthy continuation fired %d times, want 1", fired)
 	}
-	if w.reqFree != good {
+	if p.vcis[0].reqFree != good {
 		t.Fatal("healthy fired request was not recycled")
 	}
 }

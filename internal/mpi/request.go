@@ -68,7 +68,7 @@ type Request struct {
 	// callers read Data() after waiting; reliable-mode requests because
 	// retransmit state may still reference them.
 	poolable bool
-	// nextFree links the world's request free list while pooled.
+	// nextFree links its shard's request free list while pooled.
 	nextFree *Request
 
 	// onComplete is the registered continuation (progressd.go): dispatched
@@ -182,34 +182,20 @@ func (r *Request) fail(code Errcode, at sim.Time) {
 	r.err = &Error{Code: code, Detail: r.describe()}
 	if r.kind == RecvReq {
 		p := r.p
-		if r.part != nil {
+		switch {
+		case r.part != nil:
 			// Partitioned receives post on the partitioned queue.
 			sh := p.vcis[r.vci]
-			for i, q := range sh.pposted {
-				if q == r {
-					sh.pposted = append(sh.pposted[:i], sh.pposted[i+1:]...)
-					break
-				}
-			}
-		} else if r.wild && r.vci < 0 {
+			sh.pposted = withdraw(sh.pposted, r)
+		case r.wild && r.vci < 0:
 			// An unbound wildcard is cross-posted on every shard; withdraw
 			// all copies.
 			for _, sh := range p.vcis {
-				for i, q := range sh.posted {
-					if q == r {
-						sh.posted = append(sh.posted[:i], sh.posted[i+1:]...)
-						break
-					}
-				}
+				sh.posted = withdraw(sh.posted, r)
 			}
-		} else {
+		default:
 			sh := p.vcis[r.vci]
-			for i, q := range sh.posted {
-				if q == r {
-					sh.posted = append(sh.posted[:i], sh.posted[i+1:]...)
-					break
-				}
-			}
+			sh.posted = withdraw(sh.posted, r)
 		}
 	}
 	r.p.w.requestFailures++
@@ -241,21 +227,11 @@ func (r *Request) free() {
 }
 
 // release runs the error handler for a freed request and, when the object
-// is provably dead, returns it to the world pool. The caller must not
+// is provably dead, returns it to its shard's pool. The caller must not
 // touch r afterwards (standard MPI: a waited-on request is inactive).
 func (r *Request) release() error {
 	err := r.raise()
-	if r.poolable && r.err == nil {
-		if len(r.p.vcis) > 1 {
-			// Sharded runtime: the object goes back to its shard's pool,
-			// keeping request recycling contention-free per VCI.
-			sh := r.p.vcis[r.vci]
-			r.nextFree = sh.reqFree
-			sh.reqFree = r
-		} else {
-			r.p.w.recycleRequest(r)
-		}
-	}
+	r.recycle()
 	return err
 }
 

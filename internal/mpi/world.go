@@ -100,8 +100,8 @@ type Config struct {
 	// VCIs is the number of virtual communication interfaces per process:
 	// independent runtime shards (matching queues, completion queue,
 	// request pool, transport flows), each with its own critical-section
-	// lock of the configured Kind. 0 or 1 selects the unsharded runtime,
-	// byte-identical to the pre-VCI code path. More than one VCI requires
+	// lock of the configured Kind. 0 or 1 selects one shard, whose lock is
+	// the paper's global critical section. More than one VCI requires
 	// GranGlobal (sub-CS granularities and sharding answer the same
 	// question at different layers and do not compose).
 	VCIs int
@@ -157,27 +157,6 @@ type World struct {
 	// partStats are the partitioned-communication counters
 	// (partitioned.go); surfaced through World.PartStats.
 	partStats PartStats
-
-	// reqFree pools request objects released by Wait/Waitall (see
-	// Request.poolable for the safety conditions).
-	reqFree *Request
-}
-
-// allocRequest returns a zeroed request, reusing a pooled object when one
-// is available.
-func (w *World) allocRequest() *Request {
-	if r := w.reqFree; r != nil {
-		w.reqFree = r.nextFree
-		*r = Request{}
-		return r
-	}
-	return new(Request)
-}
-
-// recycleRequest returns a provably-dead request to the pool.
-func (w *World) recycleRequest(r *Request) {
-	r.nextFree = w.reqFree
-	w.reqFree = r
 }
 
 // NewWorld builds the world: engine, fabric, and one Proc per rank with its
@@ -267,18 +246,17 @@ func NewWorld(cfg Config) (*World, error) {
 		if cfg.OnGrant != nil {
 			lcfg.OnGrant = cfg.OnGrant(rank)
 		}
-		if cfg.VCIs == 1 {
-			sh := &vciShard{idx: 0}
+		for v := 0; v < cfg.VCIs; v++ {
+			sh := &vciShard{idx: v}
 			sh.cs = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines}
-			sh.cs.instrument(w.tel, fmt.Sprintf("cs[r%d]", rank))
-			p.vcis = []*vciShard{sh}
-		} else {
-			for v := 0; v < cfg.VCIs; v++ {
-				sh := &vciShard{idx: v}
-				sh.cs = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines}
-				sh.cs.instrument(w.tel, fmt.Sprintf("cs[r%d.v%d]", rank, v))
-				p.vcis = append(p.vcis, sh)
+			name := fmt.Sprintf("cs[r%d]", rank) // the global section
+			if cfg.VCIs > 1 {
+				name = fmt.Sprintf("cs[r%d.v%d]", rank, v)
 			}
+			sh.cs.instrument(w.tel, name)
+			p.vcis = append(p.vcis, sh)
+		}
+		if cfg.VCIs > 1 {
 			// The shared-NIC injection point: the one arbitration site the
 			// sharding cannot remove (all VCIs funnel into one physical NIC).
 			p.nicVCI = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines / 2}
@@ -383,9 +361,9 @@ type Proc struct {
 
 	// vcis are the proc's virtual communication interfaces (always >= 1).
 	// Shard 0 of a single-VCI world carries the global critical section
-	// (Fig. 6a) plus all queues, exactly the pre-VCI layout.
+	// (Fig. 6a) plus all queues.
 	vcis    []*vciShard
-	nicVCI  csLock // shared-NIC injection lock (multi-VCI mode only)
+	nicVCI  csLock // shared-NIC injection lock (more than one VCI; see sendShard)
 	queueCS csLock // matching-queue lock (GranFine)
 	nicCS   csLock // completion-queue lock (GranFine)
 	ep      *fabric.Endpoint
@@ -577,36 +555,17 @@ func (w *World) SpawnAsyncProgress(rank int) *Thread {
 	th := w.spawn(rank, "async-progress", func(th *Thread) {
 		th.S.SetDaemon()
 		th.noBackoff = true
-		if th.P.numVCI() > 1 {
-			// One async thread drives every shard's progress engine in
-			// turn, taking each shard lock independently.
-			for {
-				for v := range th.P.vcis {
-					th.progressRoundVCI(v, simlock.Low, nil)
-				}
-				th.progressYield()
-			}
-		}
+		// One async thread drives every shard's progress engine in turn,
+		// taking each shard lock independently.
 		for {
-			th.progressRound(simlock.Low, nil)
+			for v := range th.P.vcis {
+				th.progressRound(v, simlock.Low, nil)
+			}
 			th.progressYield()
 		}
 	})
 	return th
 }
-
-// enter acquires the process's global critical section, charging the
-// runtime-state cache-line migration on ownership changes. Used directly
-// by tests; regular call paths go through mainBegin/stateBegin/
-// progressRound, which honour the configured granularity.
-//
-//simcheck:allow lockpair test-only wrapper; tests pair enter/exit themselves
-func (th *Thread) enter(cl simlock.Class) { th.P.vcis[0].cs.enter(th, cl) }
-
-// exit releases the process's global critical section.
-//
-//simcheck:allow lockpair test-only wrapper; tests pair enter/exit themselves
-func (th *Thread) exit(cl simlock.Class) { th.P.vcis[0].cs.exit(th, cl) }
 
 func (th *Thread) cost() machine.CostModel { return th.P.w.Cfg.Cost }
 

@@ -128,55 +128,13 @@ func (c FaultConfig) config() fault.Config {
 }
 
 // NetStats reports the resilient transport's counters for one run; all
-// fields are zero on a perfect network.
-type NetStats struct {
-	// Dropped/Duplicated/Delayed/NICStalls/Preempts/BrownoutSends count
-	// injected faults.
-	Dropped, Duplicated, Delayed, NICStalls, Preempts, BrownoutSends int64
-	// Retransmits and FastRetransmits count recovery sends; DupsSuppressed
-	// counts receiver-side duplicate discards.
-	Retransmits, FastRetransmits, DupsSuppressed int64
-	// GiveUps counts packets abandoned after MaxRetries; RequestFailures
-	// counts requests completed with an error; WatchdogStalls counts
-	// progress-watchdog abort reports.
-	GiveUps, RequestFailures, WatchdogStalls int64
-}
+// fields are zero on a perfect network. Injected-fault counters nest
+// under Fault.
+type NetStats = mpi.NetStats
 
 // PartStats reports the MPI-4 partitioned-communication counters for one
 // run; all fields are zero unless a partitioned mode was enabled.
-type PartStats struct {
-	// PreadyFast counts Pready calls that stayed on the lock-free path
-	// (atomic bitmap flips, no critical section); PreadyTrigger counts the
-	// readiness-completing calls that entered the runtime and injected the
-	// aggregate — one per epoch.
-	PreadyFast, PreadyTrigger int64
-	// Aggregates counts aggregated wire transfers and Partitions the
-	// partitions they carried; Partitions/Aggregates is the aggregation
-	// ratio (messages saved per lock acquisition).
-	Aggregates, Partitions int64
-	// PartRetransmits counts partitions re-sent by partition-granularity
-	// recovery on a lossy network.
-	PartRetransmits int64
-}
-
-func partStats(s mpi.PartStats) PartStats {
-	return PartStats{
-		PreadyFast: s.PreadyFast, PreadyTrigger: s.PreadyTrigger,
-		Aggregates: s.Aggregates, Partitions: s.Partitions,
-		PartRetransmits: s.PartRetransmits,
-	}
-}
-
-func netStats(s mpi.NetStats) NetStats {
-	return NetStats{
-		Dropped: s.Fault.Dropped, Duplicated: s.Fault.Duplicated,
-		Delayed: s.Fault.Delayed, NICStalls: s.Fault.NICStalls,
-		Preempts: s.Fault.Preempts, BrownoutSends: s.Fault.BrownoutSends,
-		Retransmits: s.Retransmits, FastRetransmits: s.FastRetransmits,
-		DupsSuppressed: s.DupsSuppressed, GiveUps: s.GiveUps,
-		RequestFailures: s.RequestFailures, WatchdogStalls: s.WatchdogStalls,
-	}
-}
+type PartStats = mpi.PartStats
 
 // Lock selects the critical-section arbitration used by the simulated MPI
 // runtime.
@@ -350,7 +308,7 @@ func Throughput(c ThroughputConfig) (ThroughputResult, error) {
 	return ThroughputResult{
 		Messages: r.Messages, SimNs: r.SimNs, RateMsgsPerSec: r.RateMsgsPerSec,
 		BiasCore: r.BiasCore, BiasSocket: r.BiasSocket, DanglingAvg: r.DanglingAvg,
-		Net: netStats(r.Net),
+		Net: r.Net,
 	}, nil
 }
 
@@ -389,7 +347,7 @@ func Latency(c LatencyConfig) (LatencyResult, error) {
 		return LatencyResult{}, err
 	}
 	return LatencyResult{AvgOneWayUs: r.AvgOneWayUs, SimNs: r.SimNs,
-		Net: netStats(r.Net)}, nil
+		Net: r.Net}, nil
 }
 
 // VCIPolicy selects how operations are mapped onto a proc's virtual
@@ -516,8 +474,8 @@ func N2N(c N2NConfig) (N2NResult, error) {
 		return N2NResult{}, err
 	}
 	return N2NResult{RateMsgsPerSec: r.RateMsgsPerSec, SimNs: r.SimNs,
-		UnexpectedHits: r.UnexpectedHits, Net: netStats(r.Net),
-		Part: partStats(r.Part)}, nil
+		UnexpectedHits: r.UnexpectedHits, Net: r.Net,
+		Part: r.Part}, nil
 }
 
 // RMAOp selects the one-sided operation.
@@ -575,7 +533,7 @@ func RMA(c RMAConfig) (RMAResult, error) {
 		return RMAResult{}, err
 	}
 	return RMAResult{RateElemPerSec: r.RateElemPerSec, SimNs: r.SimNs,
-		Net: netStats(r.Net)}, nil
+		Net: r.Net}, nil
 }
 
 // BFSConfig parametrizes the Graph500 BFS kernel (paper §6.2.1).
@@ -611,7 +569,7 @@ func BFS(c BFSConfig) (BFSResult, error) {
 		return BFSResult{}, err
 	}
 	return BFSResult{MTEPS: r.MTEPS, SimNs: r.SimNs,
-		VisitedVertices: r.VisitedVertices, Net: netStats(r.Net)}, nil
+		VisitedVertices: r.VisitedVertices, Net: r.Net}, nil
 }
 
 // StencilConfig parametrizes the 3-D 7-point stencil kernel (paper §6.2.2).
@@ -664,7 +622,7 @@ func Stencil(c StencilConfig) (StencilResult, error) {
 	}
 	return StencilResult{GFlops: r.GFlops, SimNs: r.SimNs, MPIPct: r.MPIPct,
 		ComputePct: r.ComputePct, SyncPct: r.SyncPct, Checksum: r.Checksum,
-		Net: netStats(r.Net), Part: partStats(r.Part)}, nil
+		Net: r.Net, Part: r.Part}, nil
 }
 
 // AssemblyConfig parametrizes the SWAP-style genome assembly application
@@ -700,7 +658,7 @@ func Assembly(c AssemblyConfig) (AssemblyResult, error) {
 		return AssemblyResult{}, err
 	}
 	return AssemblyResult{SimNs: r.SimNs, Contigs: len(r.Contigs),
-		ContigBases: r.ContigBases, N50: r.N50, Net: netStats(r.Net)}, nil
+		ContigBases: r.ContigBases, N50: r.N50, Net: r.Net}, nil
 }
 
 // Figure is a rendered experiment table.
@@ -825,7 +783,7 @@ func Pattern(c PatternConfig) (PatternResult, error) {
 		return PatternResult{}, err
 	}
 	return PatternResult{RateMsgsPerSec: r.RateMsgsPerSec, SimNs: r.SimNs,
-		Net: netStats(r.Net)}, nil
+		Net: r.Net}, nil
 }
 
 // RecoveryStrategy selects how survivors continue after a rank failure.
@@ -901,6 +859,6 @@ func Recovery(c RecoveryConfig) (RecoveryResult, error) {
 		SimNs: r.SimNs, Survivors: r.Survivors, Checksum: r.Checksum,
 		DetectNs: r.Recovery.DetectNs, RecoverNs: r.RecoverNs,
 		Recoveries: r.Recoveries, ErrPathLocks: r.Recovery.ErrPathLocks,
-		Net: netStats(r.Net),
+		Net: r.Net,
 	}, nil
 }
