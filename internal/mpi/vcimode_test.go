@@ -6,6 +6,8 @@ import (
 
 	"mpicontend/internal/fault"
 	"mpicontend/internal/mpi/vci"
+	"mpicontend/internal/simlock"
+	"mpicontend/internal/telemetry"
 )
 
 // withVCIs is a testWorld option enabling the sharded runtime.
@@ -170,6 +172,66 @@ func TestVCIExplicitMapping(t *testing.T) {
 	if want := vci.Select(vci.Explicit, plain.ctx, 5, vci.NoHint, n); plainVCI != want {
 		t.Errorf("unpinned comm posted on shard %d, want per-comm fallback %d",
 			plainVCI, want)
+	}
+}
+
+// TestTestallFreesUnderOwnShard: on a sharded runtime, Testall frees each
+// completed request under its own shard's section. Two receives on
+// shards 1 and 3 complete before the call; with nothing left pending the
+// call polls only shard 0, so shards 1 and 3 must each be entered to free
+// their request — shard 0's hold must not free them.
+func TestTestallFreesUnderOwnShard(t *testing.T) {
+	const n = 4
+	rec := telemetry.New()
+	w := testWorld(t, 2, withVCIs(n, vci.Explicit), func(c *Config) { c.Tel = rec })
+	c1 := w.SetupComm().SetVCI(1)
+	c3 := w.SetupComm().SetVCI(3)
+	var from, to int64
+	w.Spawn(0, "sender", func(th *Thread) {
+		if err := th.Waitall([]*Request{
+			th.Isend(c1, 1, 5, 64, "one"),
+			th.Isend(c3, 1, 5, 64, "three"),
+		}); err != nil {
+			t.Errorf("waitall: %v", err)
+		}
+	})
+	w.Spawn(1, "receiver", func(th *Thread) {
+		rs := []*Request{th.Irecv(c1, 0, 5), th.Irecv(c3, 0, 5)}
+		for !rs[0].Complete() || !rs[1].Complete() {
+			th.progressRound(1, simlock.Low, nil)
+			th.progressRound(3, simlock.Low, nil)
+			th.S.Sleep(50)
+		}
+		from = th.S.Now()
+		left := th.Testall(append([]*Request(nil), rs...))
+		to = th.S.Now()
+		if len(left) != 0 {
+			t.Errorf("Testall left %d requests pending", len(left))
+		}
+		for i, r := range rs {
+			if !r.Freed() {
+				t.Errorf("request %d not freed", i)
+			}
+		}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	holds := make([]int, n)
+	for _, sp := range rec.Spans() {
+		if sp.Kind != telemetry.SpanHold || sp.Start < from || sp.End > to {
+			continue
+		}
+		for v, sh := range w.Procs[1].vcis {
+			if int(sp.Lock) == sh.cs.id {
+				holds[v]++
+			}
+		}
+	}
+	for _, v := range []int{1, 3} {
+		if holds[v] != 1 {
+			t.Errorf("shard %d held %d times during Testall, want 1", v, holds[v])
+		}
 	}
 }
 
