@@ -6,7 +6,8 @@
 #   make shuffle test suite with shuffled execution order
 #   make soak    quick chaos-experiment soak run
 #   make figures regenerate the full figure output
-#   make trace   record + validate a Perfetto trace of the fig8a probe
+#   make trace   record + validate a Perfetto trace of the fig8a probe, then
+#                render a lock-ownership timeline with biasprobe
 #   make parity  prove -jobs 1 and -jobs 4 stdout are byte-identical
 #   make bench   run the repo benchmarks and emit $(BENCH_OUT)
 #   make simcheck-bench  time the whole-module analysis; fail beyond 60s
@@ -68,6 +69,7 @@ figures:
 
 trace:
 	$(GO) run ./cmd/mpitrace -experiment fig8a -quick -check -out artifacts/trace
+	$(GO) run ./cmd/biasprobe -lock mutex -windows 2 -timeline
 
 # Serial-equivalence gate: the full quick sweep at -jobs 1 (strictly
 # serial path) and -jobs 4 (work-stealing pool) must print identical

@@ -18,7 +18,7 @@ import (
 
 	"mpicontend/internal/machine"
 	"mpicontend/internal/simlock"
-	"mpicontend/internal/trace"
+	"mpicontend/internal/telemetry"
 	"mpicontend/internal/workloads"
 )
 
@@ -63,17 +63,14 @@ func main() {
 		binding = machine.Scatter
 	}
 
-	tl := &trace.TimelineRecorder{Cap: 4096}
 	p := workloads.ThroughputParams{
 		Lock: lock, Binding: binding, Threads: *threads,
 		MsgBytes: *bytes, Windows: *windows, Seed: *seed, TraceRank: 1,
 	}
-	r, err := workloads.ThroughputWithHook(p, func(rank int) simlock.GrantFunc {
-		if rank != 1 || !*timeline {
-			return nil
-		}
-		return tl.Observe
-	})
+	if *timeline {
+		p.Tel = telemetry.New()
+	}
+	r, err := workloads.Throughput(p)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "biasprobe: %v\n", err)
 		os.Exit(1)
@@ -84,9 +81,7 @@ func main() {
 	fmt.Printf("  bias factor sock : %.2f   (fair = 1; paper measures ~1.25 for mutex)\n", r.BiasSocket)
 	fmt.Printf("  dangling avg     : %.1f requests\n", r.DanglingAvg)
 	if *timeline {
-		fmt.Printf("  max grant share  : %.1f%%   longest same-thread run: %d\n",
-			100*tl.MaxShare(), tl.LongestRun())
 		fmt.Println()
-		fmt.Print(tl.Render(72))
+		fmt.Print(p.Tel.Timeline("cs[r1]", 72))
 	}
 }

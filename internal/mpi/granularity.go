@@ -63,10 +63,18 @@ func (g Granularity) String() string {
 // owner between cores: acquiring after a different core pays the line
 // transfers.
 type csLock struct {
-	lock       simlock.Lock
+	lock simlock.Lock
+	// cfg is this lock's own simlock configuration: the csLock is the only
+	// subscriber to its grant stream (trace), and an untraced proc's locks
+	// have no subscriber.
+	cfg        *simlock.Config
 	lines      int64
 	owner      machine.Place
 	ownerValid bool
+
+	// grants accumulates the §4.3 bias estimators and the §4.4 dangling
+	// samples at each grant; nil unless the proc is traced.
+	grants *simlock.GrantStats
 
 	// Telemetry plane: tel is nil when disabled (the fast path is one
 	// pointer nil check); id is the registered lock track, holdStart and
@@ -75,6 +83,22 @@ type csLock struct {
 	id        int
 	holdStart int64
 	holdClass uint8
+}
+
+// newCSLock builds a csLock of the world's lock kind with its own
+// simlock configuration.
+func (w *World) newCSLock(lines int64) csLock {
+	cfg := &simlock.Config{Eng: w.Eng, Cost: w.Cfg.Cost}
+	return csLock{lock: simlock.New(w.Cfg.Lock, cfg), cfg: cfg, lines: lines}
+}
+
+// trace subscribes the lock to its own grant stream: at the grant instant
+// it folds the grant into its GrantStats and samples p's dangling-request
+// count. The grant instant matters: the grantee resumes only after other
+// events of the same nanosecond, which may complete or free requests.
+func (c *csLock) trace(p *Proc) {
+	c.grants = &simlock.GrantStats{}
+	c.cfg.OnGrant = func(gi simlock.GrantInfo) { c.grants.Observe(gi, p.danglingNow) }
 }
 
 // instrument attaches the lock to the telemetry plane under the given

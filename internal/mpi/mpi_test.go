@@ -1,10 +1,13 @@
 package mpi
 
 import (
+	"fmt"
 	"testing"
 
 	"mpicontend/internal/machine"
+	"mpicontend/internal/mpi/vci"
 	"mpicontend/internal/simlock"
+	"mpicontend/internal/telemetry"
 )
 
 // testWorld builds a 2-node world with one proc per node unless overridden.
@@ -594,21 +597,92 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestOnGrantHookReceivesTraffic(t *testing.T) {
-	grants := map[int]int{}
-	w := testWorld(t, 2, func(c *Config) {
-		c.OnGrant = func(rank int) simlock.GrantFunc {
-			return func(simlock.GrantInfo) { grants[rank]++ }
-		}
-	})
-	c := w.Comm()
-	w.Spawn(0, "s", func(th *Thread) { th.Send(c, 1, 0, 8, nil) })
-	w.Spawn(1, "r", func(th *Thread) { th.Recv(c, 0, 0) })
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
+// TestTracedLocksMatchTelemetry checks that every csLock of a traced proc
+// observes exactly its own lock's grant stream: the grants its GrantStats
+// counted at the grant instant equal the acquisitions telemetry derives
+// from that lock's hold spans. It runs one VCI under every granularity
+// (shard, queue and completion locks) and four VCIs under GranGlobal
+// (shard and shared-NIC locks), where each shard carries a different
+// number of messages, so an observer shared by a rank's locks would give
+// every lock the rank's total and fail.
+func TestTracedLocksMatchTelemetry(t *testing.T) {
+	type tcase struct {
+		name  string
+		opt   func(*Config)
+		comms func(w *World) []*Comm
 	}
-	if grants[0] == 0 || grants[1] == 0 {
-		t.Fatalf("grant hooks silent: %v", grants)
+	var cases []tcase
+	for _, g := range allGrans {
+		cases = append(cases, tcase{fmt.Sprintf("vcis1/%v", g), withGranularity(g),
+			func(w *World) []*Comm { c := w.Comm(); return []*Comm{c, c, c, c} }})
+	}
+	cases = append(cases, tcase{"vcis4/Global", withVCIs(4, vci.Explicit), func(w *World) []*Comm {
+		var cs []*Comm
+		for v := 0; v < 4; v++ {
+			c := w.SetupComm().SetVCI(v)
+			cs = append(cs, c, c) // two threads contend for each shard
+		}
+		return cs
+	}})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := telemetry.New()
+			w := testWorld(t, 2, tc.opt, func(c *Config) {
+				c.Lock = simlock.KindMutex
+				c.Tel = rec
+			})
+			w.Proc(1).TraceLocks()
+			for i, c := range tc.comms(w) {
+				n := 4 * (i + 1) // a different message count per thread and shard
+				w.Spawn(0, "s", func(th *Thread) {
+					rs := make([]*Request, n)
+					for j := range rs {
+						rs[j] = th.Isend(c, 1, i, 8, nil)
+					}
+					th.Waitall(rs)
+				})
+				w.Spawn(1, "r", func(th *Thread) {
+					rs := make([]*Request, n)
+					for j := range rs {
+						rs[j] = th.Irecv(c, 0, i)
+					}
+					th.Waitall(rs)
+				})
+			}
+			if err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for _, cs := range w.Proc(0).csLocks() {
+				if cs.grants != nil {
+					t.Fatalf("untraced rank 0 has a grant observer")
+				}
+			}
+			prof := rec.Profile()
+			for _, cs := range w.Proc(1).csLocks() {
+				lp := prof.Locks[cs.id]
+				if got := cs.grants.Grants(); got != lp.Acquisitions {
+					t.Errorf("%s: observed %d grants, telemetry %d acquisitions", lp.Name, got, lp.Acquisitions)
+				}
+				if n := int64(cs.grants.Samples()); n > 0 && n >= lp.Acquisitions {
+					t.Errorf("%s: %d fairness samples from %d grants", lp.Name, n, lp.Acquisitions)
+				}
+			}
+			// The sharded case must really exercise separate state: every
+			// shard lock contended, and not all with the same grant count.
+			if len(w.Proc(1).vcis) > 1 {
+				first := w.Proc(1).vcis[0].cs.grants.Grants()
+				differ := false
+				for _, sh := range w.Proc(1).vcis {
+					differ = differ || sh.cs.grants.Grants() != first
+					if sh.cs.grants.Samples() == 0 {
+						t.Errorf("shard %d lock never contended", sh.idx)
+					}
+				}
+				if !differ {
+					t.Errorf("every shard lock saw %d grants; the case cannot tell shared from separate state", first)
+				}
+			}
+		})
 	}
 }
 

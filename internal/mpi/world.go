@@ -70,9 +70,6 @@ type Config struct {
 	ProcsPerNode int
 	// Seed drives all randomness (CAS jitter etc.).
 	Seed uint64
-	// OnGrant optionally returns a grant observer for the given rank's
-	// critical-section lock (used by the §4.3/§4.4 analyses).
-	OnGrant func(rank int) simlock.GrantFunc
 	// MaxEvents aborts the simulation with an error after this many
 	// events — a guard that turns protocol deadlocks (which would spin
 	// in virtual time forever) into diagnosable failures. Zero selects a
@@ -242,13 +239,9 @@ func NewWorld(cfg Config) (*World, error) {
 			firstCore: (rank % cfg.ProcsPerNode) * coresPerProc,
 			coreCount: coresPerProc,
 		}
-		lcfg := &simlock.Config{Eng: w.Eng, Cost: cfg.Cost}
-		if cfg.OnGrant != nil {
-			lcfg.OnGrant = cfg.OnGrant(rank)
-		}
 		for v := 0; v < cfg.VCIs; v++ {
 			sh := &vciShard{idx: v}
-			sh.cs = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines}
+			sh.cs = w.newCSLock(cfg.Cost.CSStateLines)
 			name := fmt.Sprintf("cs[r%d]", rank) // the global section
 			if cfg.VCIs > 1 {
 				name = fmt.Sprintf("cs[r%d.v%d]", rank, v)
@@ -259,14 +252,13 @@ func NewWorld(cfg Config) (*World, error) {
 		if cfg.VCIs > 1 {
 			// The shared-NIC injection point: the one arbitration site the
 			// sharding cannot remove (all VCIs funnel into one physical NIC).
-			p.nicVCI = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines / 2}
+			p.nicVCI = w.newCSLock(cfg.Cost.CSStateLines / 2)
 			p.nicVCI.instrument(w.tel, fmt.Sprintf("nic[r%d]", rank))
 		}
 		if cfg.Granularity == GranFine {
-			sub := &simlock.Config{Eng: w.Eng, Cost: cfg.Cost}
-			p.queueCS = csLock{lock: simlock.New(cfg.Lock, sub), lines: cfg.Cost.CSStateLines / 2}
+			p.queueCS = w.newCSLock(cfg.Cost.CSStateLines / 2)
 			p.queueCS.instrument(w.tel, fmt.Sprintf("queue[r%d]", rank))
-			p.nicCS = csLock{lock: simlock.New(cfg.Lock, sub), lines: cfg.Cost.CSStateLines / 2}
+			p.nicCS = w.newCSLock(cfg.Cost.CSStateLines / 2)
 			p.nicCS.instrument(w.tel, fmt.Sprintf("nic[r%d]", rank))
 		}
 		p.ep = w.Fab.Attach(rank, node, p.onPacket)
@@ -394,9 +386,36 @@ type Proc struct {
 	Polls          int64
 }
 
-// Lock exposes the process's global critical-section lock (for
-// instrumentation). In a sharded world this is VCI 0's lock.
-func (p *Proc) Lock() simlock.Lock { return p.vcis[0].cs.lock }
+// TraceLocks subscribes each critical-section lock of p to its own grant
+// stream, accumulating the §4.3 bias estimators and sampling p's §4.4
+// dangling-request count at every grant. Call it before Run. Locks of
+// untraced procs have no grant subscriber, which costs simlock one nil
+// check per grant.
+func (p *Proc) TraceLocks() {
+	for _, c := range p.csLocks() {
+		c.trace(p)
+	}
+}
+
+// csLocks returns every critical-section lock the proc was built with:
+// the shard locks, then the shared-NIC lock (VCIs > 1) or the GranFine
+// queue and completion locks.
+func (p *Proc) csLocks() []*csLock {
+	var cs []*csLock
+	for _, sh := range p.vcis {
+		cs = append(cs, &sh.cs)
+	}
+	for _, c := range []*csLock{&p.nicVCI, &p.queueCS, &p.nicCS} {
+		if c.lock != nil {
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+// LockStats returns the grant statistics of the global critical section
+// (VCI 0's lock in a sharded world); nil unless TraceLocks was called.
+func (p *Proc) LockStats() *simlock.GrantStats { return p.vcis[0].cs.grants }
 
 // Cost returns the world's timing model.
 func (p *Proc) Cost() machine.CostModel { return p.w.Cfg.Cost }
@@ -407,9 +426,6 @@ func (p *Proc) Rand() *sim.Rand { return p.w.Eng.Rand() }
 
 // Outstanding returns the number of live (not yet freed) requests.
 func (p *Proc) Outstanding() int { return p.outstanding }
-
-// DanglingNow returns this process's completed-but-not-freed request count.
-func (p *Proc) DanglingNow() int { return p.danglingNow }
 
 // onPacket is the fabric delivery handler (engine context). Under the
 // reliable transport, control traffic (ACK/NACK), duplicates and

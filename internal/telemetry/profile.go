@@ -9,8 +9,7 @@ import (
 // ProfileSchema tags the profile JSON layout.
 const ProfileSchema = "mpicontend/profile/v1"
 
-// PlaceCount is the acquisition count of one (socket, core) slot — the
-// generalization of trace.AcquisitionCounter keyed by hardware placement.
+// PlaceCount is the acquisition count of one (socket, core) slot.
 type PlaceCount struct {
 	Socket       int   `json:"socket"`
 	Core         int   `json:"core"`
@@ -148,6 +147,14 @@ type lockState struct {
 	byPlace             map[[2]int16]int64
 }
 
+func newLockState() *lockState {
+	return &lockState{
+		waitStart: map[int32]int64{},
+		byThread:  map[int32]int64{},
+		byPlace:   map[[2]int16]int64{},
+	}
+}
+
 // Profile derives the contention, progress and critical-path reports from
 // the span stream. Safe on a nil recorder (returns an empty profile).
 func (r *Recorder) Profile() *Profile {
@@ -160,11 +167,7 @@ func (r *Recorder) Profile() *Profile {
 
 	locks := make([]*lockState, len(r.lockNames))
 	for i := range locks {
-		locks[i] = &lockState{
-			waitStart: map[int32]int64{},
-			byThread:  map[int32]int64{},
-			byPlace:   map[[2]int16]int64{},
-		}
+		locks[i] = newLockState()
 	}
 	// Per-thread aggregates for the app-time estimate.
 	nthreads := len(r.threadNames)

@@ -5,145 +5,96 @@ import (
 
 	"mpicontend/internal/machine"
 	"mpicontend/internal/simlock"
-	"mpicontend/internal/trace"
+	"mpicontend/internal/telemetry"
 )
 
-// TestDebugGrantStream dissects the receiver-side grant stream under the
-// mutex to understand arbitration composition. Skipped unless -v digging.
+// lockProfile returns the telemetry profile of the named lock and its
+// lock id.
+func lockProfile(t *testing.T, rec *telemetry.Recorder, name string) (telemetry.LockProfile, int32) {
+	t.Helper()
+	for i, lp := range rec.Profile().Locks {
+		if lp.Name == name {
+			return lp, int32(i)
+		}
+	}
+	t.Fatalf("no lock %q recorded", name)
+	return telemetry.LockProfile{}, -1
+}
+
+// TestDebugGrantStream dissects the receiver-side acquisition stream under
+// the mutex to understand arbitration composition (run with -v).
 func TestDebugGrantStream(t *testing.T) {
-	var grants []simlock.GrantInfo
-	p := ThroughputParams{
+	rec := telemetry.New()
+	r, err := Throughput(ThroughputParams{
 		Lock: simlock.KindMutex, Threads: 8, MsgBytes: 64,
-		Windows: 4, TraceRank: 1, Binding: machine.Compact,
-	}
-	fairGrab := func(rank int) simlock.GrantFunc {
-		if rank != 1 {
-			return nil
-		}
-		return func(gi simlock.GrantInfo) {
-			ws := make([]machine.Place, len(gi.Waiters))
-			copy(ws, gi.Waiters)
-			gi.Waiters = ws
-			grants = append(grants, gi)
-		}
-	}
-	_ = fairGrab
-	// Re-run manually to capture raw grants.
-	r, err := ThroughputWithHook(p, fairGrab)
+		Windows: 4, TraceRank: 1, Binding: machine.Compact, Tel: rec,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("rate %.0f", r.RateMsgsPerSec)
-	total := len(grants)
-	contended, same, sameContended := 0, 0, 0
-	waiterHist := map[int]int{}
-	for i := 1; i < total; i++ {
-		w := len(grants[i-1].Waiters)
-		waiterHist[w]++
-		if grants[i].ThreadID == grants[i-1].ThreadID {
-			same++
-		}
-		if w > 0 {
-			contended++
-			if grants[i].ThreadID == grants[i-1].ThreadID {
-				sameContended++
-			}
-		}
-	}
-	t.Logf("grants=%d contended=%d same=%d sameContended=%d", total, contended, same, sameContended)
-	t.Logf("waiter histogram: %v", waiterHist)
-	var f trace.FairnessAnalyzer
-	for _, g := range grants {
-		f.Observe(g)
-	}
-	t.Logf("Pc=%.3f fairPc=%.3f biasCore=%.2f Ps=%.3f fairPs=%.3f biasSock=%.2f",
-		f.Pc(), f.FairPc(), f.BiasFactorCore(), f.Ps(), f.FairPs(), f.BiasFactorSocket())
+	lp, id := lockProfile(t, rec, "cs[r1]")
+	t.Logf("rate %.0f biasCore=%.2f biasSock=%.2f (samples %d)",
+		r.RateMsgsPerSec, r.BiasCore, r.BiasSocket, r.FairSamples)
+	t.Logf("acquisitions=%d uncontended=%d longestRun=%d maxShare=%.3f places=%v",
+		lp.Acquisitions, lp.Uncontended, lp.LongestRunThread, lp.MaxThreadShare, lp.Places)
 
-	// Inter-grant gap histogram: who wins after a release? ~<200ns gaps
-	// are spinner/steal wins, ~2500 gaps are futex-wake handoffs.
+	// Inter-acquisition gap histogram: who wins after a release? ~<200ns
+	// gaps are spinner/steal wins, ~2500 gaps are futex-wake handoffs.
 	gapHist := map[string]int{}
-	for i := 1; i < total; i++ {
-		gap := grants[i].At - grants[i-1].At
-		var bucket string
-		switch {
-		case gap < 200:
-			bucket = "<200"
-		case gap < 600:
-			bucket = "200-600"
-		case gap < 1500:
-			bucket = "600-1500"
-		case gap < 3500:
-			bucket = "1500-3500"
-		default:
-			bucket = ">3500"
+	last := int64(-1)
+	for _, s := range rec.Spans() {
+		if s.Kind != telemetry.SpanHold || s.Lock != id {
+			continue
 		}
-		gapHist[bucket]++
+		if last >= 0 {
+			var bucket string
+			switch gap := s.Start - last; {
+			case gap < 200:
+				bucket = "<200"
+			case gap < 600:
+				bucket = "200-600"
+			case gap < 1500:
+				bucket = "600-1500"
+			case gap < 3500:
+				bucket = "1500-3500"
+			default:
+				bucket = ">3500"
+			}
+			gapHist[bucket]++
+		}
+		last = s.Start
 	}
 	t.Logf("gap histogram: %v", gapHist)
-	perThread := map[int]int{}
-	for _, g := range grants {
-		perThread[g.ThreadID]++
-	}
-	t.Logf("grants per thread: %v", perThread)
 }
 
 // TestDebugRMAGrants dissects rank-0 lock traffic in the RMA benchmark.
 func TestDebugRMAGrants(t *testing.T) {
 	for _, k := range []simlock.Kind{simlock.KindMutex, simlock.KindTicket} {
-		var grants []simlock.GrantInfo
-		p := RMAParams{Lock: k, Op: OpPut, ElemBytes: 64, Ops: 8}
-		p = p.withDefaults()
-		r, err := rmaWithHook(p, func(rank int) simlock.GrantFunc {
-			if rank != 0 {
-				return nil
-			}
-			return func(gi simlock.GrantInfo) { grants = append(grants, gi) }
-		})
+		rec := telemetry.New()
+		r, err := RMA(RMAParams{Lock: k, Op: OpPut, ElemBytes: 64, Ops: 8, Tel: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		per := map[int]int{}
-		classes := map[simlock.Class]int{}
-		for _, g := range grants {
-			per[g.ThreadID]++
-			classes[g.Class]++
-		}
-		t.Logf("%v: rate=%.0f grants=%d perThread=%v classes=%v simNs=%d",
-			k, r.RateElemPerSec, len(grants), per, classes, r.SimNs)
+		lp, _ := lockProfile(t, rec, "cs[r0]")
+		t.Logf("%v: rate=%.0f acquisitions=%d high=%d low=%d places=%v simNs=%d",
+			k, r.RateElemPerSec, lp.Acquisitions, lp.HighAcq, lp.LowAcq, lp.Places, r.SimNs)
 	}
 }
 
-// TestDebugN2NClasses inspects grant class composition under the priority
-// lock in the N2N benchmark.
+// TestDebugN2NClasses inspects acquisition class composition under the
+// priority lock in the N2N benchmark.
 func TestDebugN2NClasses(t *testing.T) {
 	for _, k := range []simlock.Kind{simlock.KindTicket, simlock.KindPriority} {
-		var grants []simlock.GrantInfo
-		p := N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64, Windows: 6, Mode: N2NStream}
-		p.onGrant = func(rank int) simlock.GrantFunc {
-			if rank != 0 {
-				return nil
-			}
-			return func(gi simlock.GrantInfo) { grants = append(grants, gi) }
-		}
-		r, err := N2N(p)
+		rec := telemetry.New()
+		r, err := N2N(N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64, Windows: 6,
+			Mode: N2NStream, Tel: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		classes := map[simlock.Class]int{}
-		var maxGap, sumGap int64
-		for i, g := range grants {
-			classes[g.Class]++
-			if i > 0 {
-				gap := g.At - grants[i-1].At
-				sumGap += gap
-				if gap > maxGap {
-					maxGap = gap
-				}
-			}
-		}
-		t.Logf("%v: rate=%.0f grants=%d classes=%v avgGap=%d maxGap=%d unexpected=%d",
-			k, r.RateMsgsPerSec, len(grants), classes,
-			sumGap/int64(len(grants)), maxGap, r.UnexpectedHits)
+		lp, _ := lockProfile(t, rec, "cs[r0]")
+		t.Logf("%v: rate=%.0f acquisitions=%d high=%d low=%d handoff(avg=%.0f max=%d) unexpected=%d",
+			k, r.RateMsgsPerSec, lp.Acquisitions, lp.HighAcq, lp.LowAcq,
+			lp.Handoff.MeanNs, lp.Handoff.MaxNs, r.UnexpectedHits)
 	}
 }
 

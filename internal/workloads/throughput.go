@@ -16,7 +16,6 @@ import (
 	"mpicontend/internal/mpi"
 	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
-	"mpicontend/internal/trace"
 )
 
 // ThroughputParams configures the multithreaded point-to-point throughput
@@ -46,9 +45,10 @@ type ThroughputParams struct {
 	// process-per-socket configuration (Fig. 5c).
 	ProcsPerNode int
 	Seed         uint64
-	// TraceRank, if >= 0, attaches the §4.3/§4.4 analyses to that rank's
-	// critical-section lock (the paper instruments the communication
-	// runtime; the receiver side is where matching happens).
+	// TraceRank, if >= 0, traces that rank's critical-section locks
+	// (mpi.Proc.TraceLocks) and reports the §4.3/§4.4 numbers of its
+	// global section (the paper instruments the communication runtime;
+	// the receiver side is where matching happens).
 	TraceRank int
 	// Fault configures the fault-injection plane (zero = perfect network).
 	Fault fault.Config
@@ -56,16 +56,6 @@ type ThroughputParams struct {
 	MaxWall int64
 	// Tel attaches the telemetry plane (nil = disabled, zero overhead).
 	Tel *telemetry.Recorder
-
-	// onGrant is an extra per-rank grant observer for white-box tests.
-	onGrant func(rank int) simlock.GrantFunc
-}
-
-// ThroughputWithHook runs the benchmark with an additional per-rank grant
-// observer (used by cmd/biasprobe's timeline and white-box tests).
-func ThroughputWithHook(p ThroughputParams, hook func(rank int) simlock.GrantFunc) (ThroughputResult, error) {
-	p.onGrant = hook
-	return Throughput(p)
 }
 
 // throughputWithCost runs the benchmark under an explicit cost model.
@@ -121,9 +111,6 @@ func Throughput(p ThroughputParams) (ThroughputResult, error) {
 	p = p.withDefaults()
 	var res ThroughputResult
 
-	fair := &trace.FairnessAnalyzer{}
-	dang := &trace.DanglingProfiler{}
-
 	cfg := mpi.Config{
 		Topo:            machine.Nehalem2x4(2),
 		Cost:            p.Cost,
@@ -137,32 +124,15 @@ func Throughput(p ThroughputParams) (ThroughputResult, error) {
 		MaxWall:         p.MaxWall,
 		Tel:             p.Tel,
 	}
-	if p.TraceRank >= 0 || p.onGrant != nil {
-		cfg.OnGrant = func(rank int) simlock.GrantFunc {
-			var fns []func(simlock.GrantInfo)
-			if rank == p.TraceRank {
-				fns = append(fns, fair.Observe, dang.Observe)
-			}
-			if p.onGrant != nil {
-				if fn := p.onGrant(rank); fn != nil {
-					fns = append(fns, fn)
-				}
-			}
-			if len(fns) == 0 {
-				return nil
-			}
-			return trace.Multi(fns...)
-		}
-	}
 	w, err := mpi.NewWorld(cfg)
 	if err != nil {
 		return res, err
 	}
-	// Sample dangling requests of the traced process only (the paper
-	// instruments one runtime instance).
+	// Trace one process only (the paper instruments one runtime instance).
+	var traced *mpi.Proc
 	if p.TraceRank >= 0 {
-		tr := w.Proc(p.TraceRank)
-		dang.Count = tr.DanglingNow
+		traced = w.Proc(p.TraceRank)
+		traced.TraceLocks()
 	}
 	c := w.Comm()
 
@@ -209,11 +179,14 @@ func Throughput(p ThroughputParams) (ThroughputResult, error) {
 	if endAt > 0 {
 		res.RateMsgsPerSec = float64(res.Messages) / (float64(endAt) / 1e9)
 	}
-	res.BiasCore = fair.BiasFactorCore()
-	res.BiasSocket = fair.BiasFactorSocket()
-	res.FairSamples = fair.Samples()
-	res.DanglingAvg = dang.Average()
-	res.DanglingMax = dang.Max()
+	if traced != nil {
+		st := traced.LockStats()
+		res.BiasCore = st.BiasCore()
+		res.BiasSocket = st.BiasSocket()
+		res.FairSamples = st.Samples()
+		res.DanglingAvg = st.DanglingAvg()
+		res.DanglingMax = st.DanglingMax()
+	}
 	for _, pr := range w.Procs {
 		res.UnexpectedHits += pr.UnexpectedHits
 	}
