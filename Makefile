@@ -4,6 +4,7 @@
 #   make fmt     fail if any Go file of the main module is not gofmt-clean
 #   make race    full test suite under the race detector
 #   make shuffle test suite with shuffled execution order
+#   make fuzz    run both internal/sim fuzz targets, 10 s each
 #   make soak    quick chaos-experiment soak run
 #   make figures regenerate the full figure output
 #   make trace   record + validate a Perfetto trace of the fig8a probe, then
@@ -18,7 +19,7 @@ GOFMT ?= gofmt
 # Benchmark report file; CI asks for it with `make -s bench-out`.
 BENCH_OUT = BENCH_12.json
 
-.PHONY: check build fmt vet simcheck simcheck-bench test race shuffle soak figures trace parity bench bench-out
+.PHONY: check build fmt vet simcheck simcheck-bench test race shuffle fuzz soak figures trace parity bench bench-out
 
 check: build fmt vet simcheck test
 
@@ -59,6 +60,13 @@ race:
 
 shuffle:
 	$(GO) test -shuffle=on ./...
+
+# Fuzz the event core: the timer wheel against a reference scheduler, and
+# the engine's run-ahead Sleep and elided WaitUntil wakes against the plain
+# dispatch path. go test accepts one -fuzz target per run.
+fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzSchedulerMatchesReference$$' -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzFastPathsMatchSlowPath$$' -fuzztime 10s
 
 soak:
 	$(GO) build -o /tmp/mpistorm ./cmd/mpistorm

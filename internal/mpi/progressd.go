@@ -89,16 +89,16 @@ func (w *World) startProgressDaemons() {
 // events are queued it runs progress rounds under the shard's critical
 // section at low class, paced by the progress-loop overhead — the engine
 // timer that separates rounds. The emptiness check is adjacent to the
-// park (no virtual-time gap), so no wake-up can be lost.
+// park (no virtual-time gap), so no wake-up can be lost. The park is a
+// WaitUntil, so a wake for another shard's arrival re-parks the daemon
+// without resuming it.
 func progressDaemon(th *Thread, p *Proc, v int) {
 	sh := p.vcis[v]
 	cost := th.cost()
+	ready := func() bool { return p.crashed || len(sh.cq) > 0 }
 	for {
+		p.activity.WaitUntil(th.S, ready)
 		th.checkCrashed()
-		if len(sh.cq) == 0 {
-			p.activity.Wait(th.S)
-			continue
-		}
 		th.progressRound(v, simlock.Low, nil)
 		th.S.Sleep(cost.ProgressLoopOverhead)
 	}
@@ -170,8 +170,9 @@ func (r *Request) fire(at sim.Time) {
 // the drain side reads their payload and error, nothing more. A queue
 // belongs to the thread that created it.
 type CompletionQueue struct {
-	th   *Thread
-	done []*Request
+	th    *Thread
+	done  []*Request
+	ready func() bool // WaitAny's wake condition, built once per queue
 }
 
 // NewCompletionQueue creates a completion queue owned by this thread.
@@ -179,7 +180,9 @@ func (th *Thread) NewCompletionQueue() *CompletionQueue {
 	if !th.P.w.eventDriven() {
 		panic("mpi: CompletionQueue requires ProgressStrong or ProgressContinuation")
 	}
-	return &CompletionQueue{th: th}
+	q := &CompletionQueue{th: th}
+	q.ready = func() bool { return len(q.done) > 0 || th.P.crashed }
+	return q
 }
 
 // Add registers the request for delivery onto the queue when it
@@ -234,13 +237,14 @@ func (q *CompletionQueue) Poll() *Request {
 }
 
 // WaitAny blocks until a completion is delivered, then drains it. The
-// owner parks on the proc's activity queue; completions, failure events
-// and crash unwinding all wake it.
+// owner parks on the proc's activity queue until its queue is non-empty
+// or the proc crashed; wakes for other threads' events re-park it without
+// resuming it.
 func (q *CompletionQueue) WaitAny() *Request {
 	th := q.th
 	for len(q.done) == 0 {
 		th.checkCrashed()
-		th.P.activity.Wait(th.S)
+		th.P.activity.WaitUntil(th.S, q.ready)
 	}
 	return q.take()
 }

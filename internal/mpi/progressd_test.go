@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"mpicontend/internal/fault"
 	"mpicontend/internal/machine"
 	"mpicontend/internal/mpi/vci"
+	"mpicontend/internal/sim"
 	"mpicontend/internal/simlock"
 )
 
@@ -405,5 +407,46 @@ func TestProgressModeDeterminism(t *testing.T) {
 				t.Fatalf("final virtual time diverged: %d vs %d", t1, t2)
 			}
 		})
+	}
+}
+
+// TestCrashWakesParkedWaiters: the progress daemons and CompletionQueue
+// waiters park in WaitUntil on the proc's activity queue, and the engine
+// re-parks them without a resume while their condition is false. A rank
+// crash must still resume every one of them, so each unwinds at the crash
+// instant rather than staying parked until the run shuts down.
+func TestCrashWakesParkedWaiters(t *testing.T) {
+	const crashAt = 100_000
+	w := testWorld(t, 2, withProgress(ProgressContinuation), withVCIs(4, vci.PerTagHash),
+		func(c *Config) { c.Fault = fault.Config{Crashes: []fault.CrashSpec{{Rank: 1, AtNs: crashAt}}} })
+	w.SetErrhandler(ErrorsReturn)
+	c := w.Comm()
+	doneAt := map[string]sim.Time{}
+	w.Eng.OnThreadState = func(th *sim.Thread, s sim.ThreadState) {
+		if s.String() == "done" {
+			doneAt[th.Name()] = w.Eng.Now()
+		}
+	}
+	w.Spawn(1, "cqwaiter", func(th *Thread) {
+		q := th.NewCompletionQueue()
+		q.Add(th.Irecv(c, 0, 9)) // never sent
+		q.WaitAny()
+		t.Error("WaitAny returned on a crashed rank")
+	})
+	w.Spawn(0, "survivor", func(th *Thread) { th.S.Sleep(10 * crashAt) })
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waiters := []string{"cqwaiter[r1.t0]"}
+	for k := 1; k <= 4; k++ {
+		waiters = append(waiters, fmt.Sprintf("progressd[r1.t%d]", k))
+	}
+	for _, name := range waiters {
+		if at, ok := doneAt[name]; !ok || at != crashAt {
+			t.Errorf("%s finished at %d (seen %v), want at the crash, %d", name, at, ok, crashAt)
+		}
+	}
+	if st := w.Eng.Stats(); st.ElidedWakes == 0 {
+		t.Errorf("no wake was elided before the crash (%+v): the test does not cover a re-parked waiter", st)
 	}
 }

@@ -227,3 +227,42 @@ func TestSwitchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestElidedWakeAllocs pins a WaitUntil wake that finds its condition
+// false — re-queue and re-park without a resume — at zero allocations,
+// driven exactly as Run drives it.
+func TestElidedWakeAllocs(t *testing.T) {
+	e := NewEngine(1)
+	var wq WaitQueue
+	e.Spawn("waiter", func(th *Thread) {
+		wq.WaitUntil(th, func() bool { return false })
+	})
+	step := func() {
+		ev := e.q.pop()
+		e.now = ev.when
+		th := ev.thread
+		if th.wake == ev {
+			th.wake = nil
+		}
+		e.q.recycle(ev)
+		e.dispatch(th)
+	}
+	step() // start the waiter; it parks on wq
+	wake := func() {
+		wq.WakeAll(e.now + 1)
+		step()
+	}
+	for i := 0; i < 16; i++ {
+		wake() // warm the event pool
+	}
+	if allocs := testing.AllocsPerRun(1000, wake); allocs != 0 {
+		t.Fatalf("elided wake allocates %v times, want 0", allocs)
+	}
+	if s := e.Stats(); s.ElidedWakes == 0 || s.Resumes != 1 {
+		t.Fatalf("stats %+v: want elided wakes and the waiter resumed only at its start", s)
+	}
+	e.Stop()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

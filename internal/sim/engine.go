@@ -59,6 +59,25 @@ type Engine struct {
 	// transition (the telemetry plane's sched track). Purely
 	// observational: it must not touch engine state.
 	OnThreadState func(t *Thread, s ThreadState)
+
+	stats Stats
+	// slow disables the run-ahead Sleep and the elided WaitUntil wake, so
+	// tests can check that both fast paths change nothing observable.
+	slow bool
+}
+
+// Stats is the engine's account of its own work.
+type Stats struct {
+	// Events counts dispatched events, inline sleeps included (EventsRun).
+	Events uint64
+	// Resumes counts coroutine resumes: switches into a simthread body.
+	Resumes uint64
+	// InlineSleeps counts Sleeps that continued without yielding because
+	// the sleeper's own wake was the next event.
+	InlineSleeps uint64
+	// ElidedWakes counts WaitUntil wakes that found the condition false
+	// and re-queued the thread without resuming it.
+	ElidedWakes uint64
 }
 
 // wallCheckEvery is how many events pass between wall-clock watchdog
@@ -78,6 +97,26 @@ func (e *Engine) Rand() *Rand { return e.rng }
 
 // EventsRun reports how many events have been dispatched so far.
 func (e *Engine) EventsRun() uint64 { return e.eventsRun }
+
+// Stats reports the engine's work counters so far.
+func (e *Engine) Stats() Stats {
+	s := e.stats
+	s.Events = e.eventsRun
+	return s
+}
+
+// runAhead reports whether a thread sleeping until at may continue inline.
+// That is exact when every queued event, cancelled ones included, is due
+// strictly after at: an event due at at was queued earlier, so it holds a
+// smaller seq and pops first. peekWhen's lower bound only ever errs toward
+// yielding. The limit clauses send a wake on which Run would trip
+// MaxTime or MaxEvents, or run the watchdog check, through Run.
+func (e *Engine) runAhead(at Time) bool {
+	return !e.slow && !e.stopped && e.q.peekWhen() > at &&
+		(e.MaxTime <= 0 || at <= e.MaxTime) &&
+		(e.MaxEvents == 0 || e.eventsRun < e.MaxEvents) &&
+		(e.MaxWall <= 0 || e.eventsRun%wallCheckEvery != 0)
+}
 
 // schedule allocates a pooled event at time t (clamped to now) and queues
 // it. The caller fills in exactly one callback field afterwards; nothing
@@ -179,7 +218,10 @@ func (e *Engine) SpawnAt(start Time, name string, fn func(t *Thread)) *Thread {
 	return t
 }
 
-// dispatch resumes t's coroutine until it blocks or finishes.
+// dispatch resumes t's coroutine until it blocks or finishes. A thread
+// woken inside WaitUntil whose condition is still false is not resumed:
+// dispatch re-queues it and parks it again, which is all the WaitUntil
+// loop would do.
 //
 //simcheck:hotpath runs once per thread wakeup; stays allocation-free
 func (e *Engine) dispatch(t *Thread) {
@@ -187,7 +229,14 @@ func (e *Engine) dispatch(t *Thread) {
 		return
 	}
 	t.setState(stateRunning)
+	if t.until != nil && !e.slow && !t.until() {
+		t.untilQ.push(t)
+		t.setState(stateParked)
+		e.stats.ElidedWakes++
+		return
+	}
 	e.running = t
+	e.stats.Resumes++
 	t.next()
 	e.running = nil
 }

@@ -428,7 +428,7 @@ func TestWaitQueueRemove(t *testing.T) {
 	})
 	e.Spawn("ctl", func(th *Thread) {
 		th.Sleep(10)
-		wq.q = append(wq.q, a)
+		wq.push(a)
 		if !wq.Remove(a) {
 			t.Error("Remove missed present thread")
 		}

@@ -59,6 +59,8 @@ const (
 	// compactMinDead is the floor before cancelled events can trigger a
 	// compaction sweep.
 	compactMinDead = 64
+	// maxTime is the latest representable virtual time.
+	maxTime = Time(1<<63 - 1)
 )
 
 // event is a scheduled callback. Exactly one of fn, argFn, thread is set:
@@ -138,6 +140,23 @@ func (q *eventQueue) len() int { return q.live + q.dead }
 func (q *eventQueue) push(ev *event) {
 	q.live++
 	q.insert(ev)
+}
+
+// peekWhen returns a lower bound on the time of the earliest queued event,
+// cancelled ones included, or maxTime when the queue is empty. It is exact
+// for level 0 (one timestamp per slot) and the far heap; for levels 1-3 it
+// is the start of the first occupied slot's window.
+func (q *eventQueue) peekWhen() Time {
+	for l := 0; l < wheelLevels; l++ {
+		if b := q.bitmap[l]; b != 0 {
+			shift := uint(l) * wheelBits
+			return q.wt&^(Time(1)<<(shift+wheelBits)-1) | Time(bits.TrailingZeros64(b))<<shift
+		}
+	}
+	if len(q.far) > 0 {
+		return q.far[0].when
+	}
+	return maxTime
 }
 
 // level classifies when against the anchor: 0..3 for the wheel, -1 for

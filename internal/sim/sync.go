@@ -4,53 +4,108 @@ package sim
 // a FIFO wait queue, a counting barrier, and a channel-like mailbox. All of
 // them operate on simthreads and virtual time.
 
-// WaitQueue is a FIFO queue of parked threads.
+import "fmt"
+
+// WaitQueue is a FIFO queue of parked threads, linked intrusively through
+// Thread so that queueing never allocates. A thread is on at most one
+// queue at a time.
 type WaitQueue struct {
-	q []*Thread
+	head, tail *Thread
+	n          int
 }
 
 // Len returns the number of waiting threads.
-func (w *WaitQueue) Len() int { return len(w.q) }
+func (w *WaitQueue) Len() int { return w.n }
+
+// push appends t at the tail.
+func (w *WaitQueue) push(t *Thread) {
+	if t.wq != nil {
+		panic(fmt.Sprintf("sim: thread %q is already on a wait queue", t.name))
+	}
+	t.wq = w
+	if w.tail == nil {
+		w.head = t
+	} else {
+		w.tail.qnext = t
+	}
+	w.tail = t
+	w.n++
+}
+
+// unlink removes t, whose predecessor is prev (nil at the head).
+func (w *WaitQueue) unlink(prev, t *Thread) {
+	if prev == nil {
+		w.head = t.qnext
+	} else {
+		prev.qnext = t.qnext
+	}
+	if w.tail == t {
+		w.tail = prev
+	}
+	t.qnext, t.wq = nil, nil
+	w.n--
+}
 
 // Wait parks the calling thread until a matching WakeOne/WakeAll.
 func (w *WaitQueue) Wait(t *Thread) {
-	w.q = append(w.q, t)
+	w.push(t)
 	t.Park()
+}
+
+// WaitUntil parks the calling thread on the queue until ready() holds. It
+// is the loop
+//
+//	for !ready() {
+//		w.Wait(t)
+//	}
+//
+// for a waiter that does nothing between wakes but re-check ready, and it
+// lets the engine skip the re-checks that fail: at each wake the engine
+// evaluates ready itself and, while it is false, re-queues t at the tail
+// without resuming it — the same state transitions and queue order as the
+// loop, minus the coroutine switch. ready must only read simulation state.
+func (w *WaitQueue) WaitUntil(t *Thread, ready func() bool) {
+	for !ready() {
+		t.until, t.untilQ = ready, w
+		w.Wait(t)
+		t.until, t.untilQ = nil, nil
+	}
 }
 
 // WakeOne unparks the oldest waiter at time at and returns it, or nil if
 // the queue is empty.
 func (w *WaitQueue) WakeOne(at Time) *Thread {
-	if len(w.q) == 0 {
+	t := w.head
+	if t == nil {
 		return nil
 	}
-	t := w.q[0]
-	copy(w.q, w.q[1:])
-	w.q = w.q[:len(w.q)-1]
+	w.unlink(nil, t)
 	t.Unpark(at)
 	return t
 }
 
-// WakeAll unparks every waiter at time at and returns how many were woken.
+// WakeAll unparks every waiter at time at, oldest first, and returns how
+// many were woken.
 func (w *WaitQueue) WakeAll(at Time) int {
-	n := len(w.q)
-	for _, t := range w.q {
-		t.Unpark(at)
+	n := w.n
+	for w.head != nil {
+		w.WakeOne(at)
 	}
-	w.q = w.q[:0]
 	return n
 }
 
 // Remove deletes t from the queue without waking it. It reports whether t
 // was present.
 func (w *WaitQueue) Remove(t *Thread) bool {
-	for i, x := range w.q {
-		if x == t {
-			w.q = append(w.q[:i], w.q[i+1:]...)
-			return true
-		}
+	if t.wq != w {
+		return false
 	}
-	return false
+	var prev *Thread
+	for x := w.head; x != t; x = x.qnext {
+		prev = x
+	}
+	w.unlink(prev, t)
+	return true
 }
 
 // Barrier blocks N participants until all have arrived, modelling an

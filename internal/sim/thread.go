@@ -67,6 +67,15 @@ type Thread struct {
 	daemon bool
 
 	wake *event // pending wake event while sleeping or parked with deadline
+
+	// wq is the WaitQueue the thread is linked on (nil when none) and
+	// qnext its successor there. While the thread blocks in WaitUntil,
+	// until is its condition and untilQ the queue it re-joins when a
+	// wake finds the condition false.
+	wq     *WaitQueue
+	qnext  *Thread
+	until  func() bool
+	untilQ *WaitQueue
 }
 
 // ID returns the thread's unique index within its engine.
@@ -124,15 +133,30 @@ func (t *Thread) yield() {
 
 // Sleep advances this thread's local time by d nanoseconds, letting other
 // events run meanwhile. Negative durations are treated as zero.
+//
+// When nothing else is due first (Engine.runAhead), the thread continues
+// inline instead of yielding: the clock, the event count and the
+// sleeping→running transitions advance exactly as if its wake event had
+// been queued, popped and dispatched.
 func (t *Thread) Sleep(d Time) {
-	if t.eng.running != t {
+	e := t.eng
+	if e.running != t {
 		panic(fmt.Sprintf("sim: Sleep called on %q from outside its own context", t.name))
 	}
 	if d < 0 {
 		d = 0
 	}
 	t.setState(stateSleeping)
-	t.eng.atThread(t.eng.now+d, t)
+	at := e.now + d
+	if e.runAhead(at) {
+		e.now = at
+		e.seq++ // the seq the wake event would have taken
+		e.eventsRun++
+		e.stats.InlineSleeps++
+		t.setState(stateRunning)
+		return
+	}
+	e.atThread(at, t)
 	t.yield()
 }
 
@@ -147,8 +171,8 @@ func (t *Thread) Park() {
 }
 
 // Unpark schedules the parked thread to resume at virtual time at (clamped
-// to now). It is a no-op if the thread is not parked. Calling Unpark twice
-// before the thread resumes panics, as it indicates a scheduling bug.
+// to now). Unparking a thread that is not parked, or unparking it twice
+// before it resumes, panics: either indicates a scheduling bug.
 func (t *Thread) Unpark(at Time) {
 	if t.state != stateParked {
 		panic(fmt.Sprintf("sim: Unpark of thread %q which is not parked", t.name))
