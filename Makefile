@@ -1,6 +1,9 @@
 # Single entry point for local development and CI.
 #
-#   make check   build + fmt + vet + simcheck + test — what CI gates on
+#   make check   build + fmt + vet + simcheck + test + perfbench-build — what
+#                CI gates on
+#   make perfbench-build  vet and compile the perfbench module against the
+#                current tree, writing nothing into perfbench/
 #   make fmt     fail if any Go file of the main module is not gofmt-clean
 #   make race    full test suite under the race detector
 #   make shuffle test suite with shuffled execution order
@@ -19,9 +22,9 @@ GOFMT ?= gofmt
 # Benchmark report file; CI asks for it with `make -s bench-out`.
 BENCH_OUT = BENCH_12.json
 
-.PHONY: check build fmt vet simcheck simcheck-bench test race shuffle fuzz soak figures trace parity bench bench-out
+.PHONY: check build fmt vet simcheck simcheck-bench test perfbench-build race shuffle fuzz soak figures trace parity bench bench-out
 
-check: build fmt vet simcheck test
+check: build fmt vet simcheck test perfbench-build
 
 build:
 	$(GO) build ./...
@@ -54,6 +57,12 @@ simcheck-bench:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a separate module that imports the facade; vetting and
+# compiling it here makes a facade change that breaks the benchmark fail
+# locally and in CI. -o /dev/null keeps the binary out of perfbench/.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 race:
 	$(GO) test -race ./...

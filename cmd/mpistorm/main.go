@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"time"
 
+	"mpicontend/internal/mpi"
 	"mpicontend/mpisim"
 )
 
@@ -44,7 +45,7 @@ func main() {
 		"progress mode for the experiments that honour it: polling|strong|continuation (see docs/PROGRESS.md)")
 	flag.Parse()
 
-	progress, err := parseProgress(*progressFlag)
+	progress, err := mpi.ParseProgressMode(*progressFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpistorm: %v\n", err)
 		os.Exit(2)
@@ -131,18 +132,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "(total %.1fs, jobs=%d)\n", time.Since(start).Seconds(), *jobs)
-}
-
-// parseProgress maps the -progress flag value to a progress mode.
-func parseProgress(s string) (mpisim.ProgressMode, error) {
-	switch s {
-	case "polling", "":
-		return mpisim.PollingProgress, nil
-	case "strong":
-		return mpisim.StrongProgress, nil
-	case "continuation":
-		return mpisim.ContinuationProgress, nil
-	default:
-		return 0, fmt.Errorf("unknown -progress mode %q (polling|strong|continuation)", s)
-	}
 }

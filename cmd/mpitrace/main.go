@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"strings"
 
+	"mpicontend/internal/mpi"
 	"mpicontend/internal/telemetry"
 	"mpicontend/mpisim"
 )
@@ -51,7 +52,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mpitrace: -experiment is required (see mpistorm -list)")
 		os.Exit(2)
 	}
-	progress, err := parseProgress(*progressFlag)
+	progress, err := mpi.ParseProgressMode(*progressFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpitrace: %v\n", err)
 		os.Exit(2)
@@ -95,8 +96,8 @@ func main() {
 // mode only the summary lines print; a single experiment also prints the
 // full profile text, exactly as earlier single-experiment releases did.
 func render(id string, r traced, dir string, check, multi bool) error {
-	trace := r.tel.PerfettoJSON()
-	profile, err := r.tel.ProfileJSON()
+	trace := r.tel.Perfetto()
+	profile, err := r.tel.Profile().Marshal()
 	if err != nil {
 		return fmt.Errorf("marshal profile: %w", err)
 	}
@@ -121,25 +122,11 @@ func render(id string, r traced, dir string, check, multi bool) error {
 		return err
 	}
 
-	fmt.Printf("traced %s (%s): %d spans\n", id, r.desc, r.tel.Spans())
+	fmt.Printf("traced %s (%s): %d spans\n", id, r.desc, len(r.tel.Spans()))
 	fmt.Printf("wrote %s (%d bytes) and %s (%d bytes)\n\n",
 		tracePath, len(trace), profilePath, len(profile))
 	if !multi {
-		fmt.Print(r.tel.ProfileText())
+		fmt.Print(r.tel.Profile().Text())
 	}
 	return nil
-}
-
-// parseProgress maps the -progress flag value to a progress mode.
-func parseProgress(s string) (mpisim.ProgressMode, error) {
-	switch s {
-	case "polling", "":
-		return mpisim.PollingProgress, nil
-	case "strong":
-		return mpisim.StrongProgress, nil
-	case "continuation":
-		return mpisim.ContinuationProgress, nil
-	default:
-		return 0, fmt.Errorf("unknown -progress mode %q (polling|strong|continuation)", s)
-	}
 }

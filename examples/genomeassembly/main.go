@@ -33,7 +33,7 @@ func main() {
 			speedup = fmt.Sprintf("  (%.2fx vs mutex)", float64(mutexNs)/float64(r.SimNs))
 		}
 		fmt.Printf("%-10s time=%8.2f ms   contigs=%4d  bases=%6d  N50=%4d%s\n",
-			lock, float64(r.SimNs)/1e6, r.Contigs, r.ContigBases, r.N50, speedup)
+			lock, float64(r.SimNs)/1e6, len(r.Contigs), r.ContigBases, r.N50, speedup)
 	}
 
 	fmt.Println()

@@ -29,7 +29,7 @@ func main() {
 
 	for _, lock := range []mpisim.Lock{mpisim.Mutex, mpisim.Ticket, mpisim.Priority} {
 		r, err := mpisim.Throughput(mpisim.ThroughputConfig{
-			Lock: lock, Threads: 8, MsgBytes: 64, Trace: true,
+			Lock: lock, Threads: 8, MsgBytes: 64, TraceRank: 1,
 		})
 		if err != nil {
 			log.Fatal(err)

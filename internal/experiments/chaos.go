@@ -67,16 +67,15 @@ type chaosRun struct {
 // self-contained sweep point.
 func chaosCell(o Options, sc chaosScenario, k simlock.Kind) (chaosRun, error) {
 	p := workloads.ThroughputParams{
-		Lock:      k,
-		Binding:   machine.Compact,
-		Threads:   8,
-		MsgBytes:  512,
-		Window:    32,
-		Windows:   o.windows(),
-		Seed:      o.seed(),
-		TraceRank: -1,
-		Fault:     sc.fc,
-		MaxWall:   chaosWall,
+		Lock:     k,
+		Binding:  machine.Compact,
+		Threads:  8,
+		MsgBytes: 512,
+		Window:   32,
+		Windows:  o.windows(),
+		Seed:     o.seed(),
+		Fault:    sc.fc,
+		MaxWall:  chaosWall,
 	}
 	run := func() (chaosRun, error) {
 		r, err := workloads.Throughput(p)

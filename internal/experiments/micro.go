@@ -62,7 +62,7 @@ func throughputSeries(o Options, pl *Plan, t *report.Table, name string, mk func
 func baseTP(o Options, lock simlock.Kind, threads int, bytes int64) workloads.ThroughputParams {
 	return workloads.ThroughputParams{
 		Lock: lock, Threads: threads, MsgBytes: bytes,
-		Windows: o.windows(), TraceRank: -1, Seed: o.seed(),
+		Windows: o.windows(), Seed: o.seed(),
 		Binding: machine.Compact,
 	}
 }

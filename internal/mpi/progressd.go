@@ -59,6 +59,20 @@ func (m ProgressMode) String() string {
 	}
 }
 
+// ParseProgressMode is the inverse of ProgressMode.String; the empty
+// string means ProgressPolling, the default.
+func ParseProgressMode(s string) (ProgressMode, error) {
+	if s == "" {
+		return ProgressPolling, nil
+	}
+	for m := ProgressPolling; m <= ProgressContinuation; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown -progress mode %q (polling|strong|continuation)", s)
+}
+
 // eventDriven reports whether completions wake parked waiters instead of
 // being discovered by polling.
 func (w *World) eventDriven() bool { return w.Cfg.Progress != ProgressPolling }

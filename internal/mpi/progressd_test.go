@@ -370,6 +370,28 @@ func TestProgressModeValidation(t *testing.T) {
 	}
 }
 
+// TestParseProgressMode: every mode round-trips through its String
+// name, "" is polling, and an unknown name is rejected.
+func TestParseProgressMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want ProgressMode
+	}{
+		{ProgressPolling.String(), ProgressPolling},
+		{ProgressStrong.String(), ProgressStrong},
+		{ProgressContinuation.String(), ProgressContinuation},
+		{"", ProgressPolling},
+	} {
+		got, err := ParseProgressMode(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseProgressMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := ParseProgressMode("eager"); err == nil {
+		t.Error("unknown progress mode accepted")
+	}
+}
+
 // TestProgressModeDeterminism: each mode reproduces the identical final
 // virtual time across two identically-seeded runs.
 func TestProgressModeDeterminism(t *testing.T) {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -295,12 +296,23 @@ func TestWaitFamilyAcrossConfigs(t *testing.T) {
 }
 
 // TestConfigLegality walks Granularity × VCIs {1,4} × Progress ×
-// ThreadLevel: every combination either is rejected by NewWorld or runs a
-// 2-rank ping-pong to completion. The rejected set is exactly the two
-// preconditions the shard-indexed critical-section primitives rely on:
-// more than one VCI, or a non-polling progress mode, needs GranGlobal
-// with MPI_THREAD_MULTIPLE.
+// ThreadLevel: every combination either is rejected by NewWorld with
+// ErrIllegalConfig or runs a 2-rank ping-pong to completion. The rejected
+// set is exactly the two preconditions the shard-indexed critical-section
+// primitives rely on: more than one VCI, or a non-polling progress mode,
+// needs GranGlobal with MPI_THREAD_MULTIPLE. The topology, placement
+// and VCI-setting rejections carry the same sentinel.
 func TestConfigLegality(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"no-topology":       {},
+		"ppn-exceeds-cores": {Topo: machine.Nehalem2x4(2), ProcsPerNode: 9},
+		"negative-vcis":     {Topo: machine.Nehalem2x4(2), VCIs: -1},
+		"unknown-policy":    {Topo: machine.Nehalem2x4(2), VCIs: 2, VCIPolicy: vci.Policy(99)},
+	} {
+		if _, err := NewWorld(cfg); !errors.Is(err, ErrIllegalConfig) {
+			t.Errorf("%s: NewWorld = %v, want ErrIllegalConfig", name, err)
+		}
+	}
 	levels := []ThreadLevel{ThreadMultiple, ThreadSingle, ThreadFunneled, ThreadSerialized}
 	modes := []ProgressMode{ProgressPolling, ProgressStrong, ProgressContinuation}
 	for _, g := range allGrans {
@@ -325,8 +337,8 @@ func TestConfigLegality(t *testing.T) {
 					wantErr := needsShardGlobal && (g != GranGlobal || lvl != ThreadMultiple)
 					w, err := NewWorld(cfg)
 					if wantErr {
-						if err == nil {
-							t.Errorf("%s: NewWorld accepted an illegal configuration", name)
+						if !errors.Is(err, ErrIllegalConfig) {
+							t.Errorf("%s: NewWorld = %v, want ErrIllegalConfig", name, err)
 						}
 						continue
 					}

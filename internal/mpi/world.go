@@ -24,6 +24,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -156,11 +157,17 @@ type World struct {
 	partStats PartStats
 }
 
+// ErrIllegalConfig is wrapped by every NewWorld rejection of a
+// configuration (invalid topology or placement, VCI settings, or a
+// granularity/thread level a VCI count or progress mode cannot run on),
+// so callers can test for it with errors.Is.
+var ErrIllegalConfig = errors.New("mpi: illegal configuration")
+
 // NewWorld builds the world: engine, fabric, and one Proc per rank with its
 // own global critical-section lock.
 func NewWorld(cfg Config) (*World, error) {
 	if err := cfg.Topo.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrIllegalConfig, err)
 	}
 	if cfg.ProcsPerNode <= 0 {
 		cfg.ProcsPerNode = 1
@@ -170,36 +177,36 @@ func NewWorld(cfg Config) (*World, error) {
 		cfg.Cost = machine.Default()
 	}
 	if cfg.ProcsPerNode > cfg.Topo.CoresPerNode() {
-		return nil, fmt.Errorf("mpi: %d processes per node exceed %d cores",
-			cfg.ProcsPerNode, cfg.Topo.CoresPerNode())
+		return nil, fmt.Errorf("%w: %d processes per node exceed %d cores",
+			ErrIllegalConfig, cfg.ProcsPerNode, cfg.Topo.CoresPerNode())
 	}
 	if err := (vci.Config{N: cfg.VCIs, Policy: cfg.VCIPolicy}).Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrIllegalConfig, err)
 	}
 	if cfg.VCIs < 1 {
 		cfg.VCIs = 1
 	}
 	if cfg.VCIs > 1 {
 		if cfg.Granularity != GranGlobal {
-			return nil, fmt.Errorf("mpi: %d VCIs require GranGlobal, got %v "+
+			return nil, fmt.Errorf("%w: %d VCIs require GranGlobal, got %v "+
 				"(sub-CS granularity and VCI sharding do not compose)",
-				cfg.VCIs, cfg.Granularity)
+				ErrIllegalConfig, cfg.VCIs, cfg.Granularity)
 		}
 		if cfg.ThreadLevel.lockless() {
-			return nil, fmt.Errorf("mpi: %d VCIs require MPI_THREAD_MULTIPLE "+
-				"(sharding a lockless runtime is meaningless)", cfg.VCIs)
+			return nil, fmt.Errorf("%w: %d VCIs require MPI_THREAD_MULTIPLE "+
+				"(sharding a lockless runtime is meaningless)", ErrIllegalConfig, cfg.VCIs)
 		}
 	}
 	if cfg.Progress != ProgressPolling {
 		if cfg.Granularity != GranGlobal {
-			return nil, fmt.Errorf("mpi: %v progress requires GranGlobal, got %v "+
+			return nil, fmt.Errorf("%w: %v progress requires GranGlobal, got %v "+
 				"(the daemons drive whole-shard critical sections)",
-				cfg.Progress, cfg.Granularity)
+				ErrIllegalConfig, cfg.Progress, cfg.Granularity)
 		}
 		if cfg.ThreadLevel.lockless() {
-			return nil, fmt.Errorf("mpi: %v progress requires MPI_THREAD_MULTIPLE "+
+			return nil, fmt.Errorf("%w: %v progress requires MPI_THREAD_MULTIPLE "+
 				"(progress daemons share runtime state with application threads)",
-				cfg.Progress)
+				ErrIllegalConfig, cfg.Progress)
 		}
 	}
 	if cfg.ThreadLevel.lockless() {

@@ -15,7 +15,7 @@ func tracedRun(t *testing.T, rec *telemetry.Recorder) workloads.ThroughputResult
 	t.Helper()
 	r, err := workloads.Throughput(workloads.ThroughputParams{
 		Lock: simlock.KindMutex, Threads: 4, MsgBytes: 64,
-		Window: 16, Windows: 2, Seed: 42, TraceRank: -1, Tel: rec,
+		Window: 16, Windows: 2, Seed: 42, Tel: rec,
 	})
 	if err != nil {
 		t.Fatal(err)

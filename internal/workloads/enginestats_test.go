@@ -25,7 +25,7 @@ func enginePoints() []enginePoint {
 	var ps []enginePoint
 	locks := []simlock.Kind{simlock.KindMutex, simlock.KindTicket, simlock.KindPriority, simlock.KindCLH}
 	for _, lk := range locks {
-		p := ThroughputParams{Lock: lk, Threads: 8, MsgBytes: 64, Window: 64, Windows: 4, TraceRank: -1, Seed: 1}
+		p := ThroughputParams{Lock: lk, Threads: 8, MsgBytes: 64, Window: 64, Windows: 4, Seed: 1}
 		ps = append(ps, enginePoint{"p2p/" + lk.String(), 15, func() (int64, sim.Stats, error) {
 			r, err := Throughput(p)
 			return r.Messages, r.Engine, err

@@ -50,7 +50,7 @@ type RMAParams struct {
 	ElemBytes int64
 	// Ops is the number of operations issued per target.
 	Ops int
-	// Flush after this many outstanding ops (window).
+	// Flush after this many outstanding ops (window; default 1).
 	Window int
 	Seed   uint64
 	// SelectiveWakeup enables the event-driven progress extension (§9).
@@ -74,7 +74,7 @@ func (p RMAParams) withDefaults() RMAParams {
 		p.Ops = 16
 	}
 	if p.Window <= 0 {
-		p.Window = 8
+		p.Window = 1
 	}
 	if p.Seed == 0 {
 		p.Seed = 42

@@ -46,10 +46,11 @@ type ThroughputParams struct {
 	// process-per-socket configuration (Fig. 5c).
 	ProcsPerNode int
 	Seed         uint64
-	// TraceRank, if >= 0, traces that rank's critical-section locks
+	// TraceRank, if > 0, traces that rank's critical-section locks
 	// (mpi.Proc.TraceLocks) and reports the §4.3/§4.4 numbers of its
 	// global section (the paper instruments the communication runtime;
-	// the receiver side is where matching happens).
+	// the receiver side is where matching happens). The zero value is
+	// off: rank 0 is always a sender.
 	TraceRank int
 	// Fault configures the fault-injection plane (zero = perfect network).
 	Fault fault.Config
@@ -133,7 +134,7 @@ func Throughput(p ThroughputParams) (ThroughputResult, error) {
 	}
 	// Trace one process only (the paper instruments one runtime instance).
 	var traced *mpi.Proc
-	if p.TraceRank >= 0 {
+	if p.TraceRank > 0 {
 		traced = w.Proc(p.TraceRank)
 		traced.TraceLocks()
 	}

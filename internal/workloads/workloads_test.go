@@ -10,7 +10,7 @@ import (
 func tp(lock simlock.Kind, threads int, bytes int64) ThroughputParams {
 	return ThroughputParams{
 		Lock: lock, Threads: threads, MsgBytes: bytes,
-		Windows: 6, TraceRank: -1, Binding: machine.Compact,
+		Windows: 6, Binding: machine.Compact,
 	}
 }
 
@@ -71,9 +71,9 @@ func TestTicketBeatsMutexSmallMessages(t *testing.T) {
 // negligible (paper: differences vanish past ~32KB).
 func TestLargeMessagesConverge(t *testing.T) {
 	m := runTP(t, ThroughputParams{Lock: simlock.KindMutex, Threads: 8,
-		MsgBytes: 1 << 20, Windows: 2, Window: 16, TraceRank: -1})
+		MsgBytes: 1 << 20, Windows: 2, Window: 16})
 	tk := runTP(t, ThroughputParams{Lock: simlock.KindTicket, Threads: 8,
-		MsgBytes: 1 << 20, Windows: 2, Window: 16, TraceRank: -1})
+		MsgBytes: 1 << 20, Windows: 2, Window: 16})
 	ratio := tk.RateMsgsPerSec / m.RateMsgsPerSec
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Errorf("1MB rates should converge; ticket/mutex = %.2f", ratio)

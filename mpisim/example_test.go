@@ -28,7 +28,7 @@ func ExampleThroughput() {
 // core-level bias factor is far above the fair value of 1.
 func ExampleThroughput_trace() {
 	r, err := mpisim.Throughput(mpisim.ThroughputConfig{
-		Lock: mpisim.Mutex, Threads: 8, MsgBytes: 64, Windows: 4, Trace: true,
+		Lock: mpisim.Mutex, Threads: 8, MsgBytes: 64, Windows: 4, TraceRank: 1,
 	})
 	if err != nil {
 		panic(err)

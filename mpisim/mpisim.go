@@ -14,6 +14,10 @@
 //	})
 //	fmt.Printf("%.0f msgs/s\n", res.RateMsgsPerSec)
 //
+// Every type and constant here is an alias of the internal one it names,
+// and every benchmark entry point forwards to its internal runner, so the
+// facade adds no behaviour and every workload knob is visible as is.
+//
 // mpisim fronts the deterministic core (docs/ARCHITECTURE.md): every call
 // builds an isolated engine from its config and seed and is a pure
 // function of them. Sweep and RunPoints fan such isolated runs across OS
@@ -21,8 +25,6 @@
 package mpisim
 
 import (
-	"fmt"
-
 	"mpicontend/internal/experiments"
 	"mpicontend/internal/fault"
 	"mpicontend/internal/genome"
@@ -37,629 +39,183 @@ import (
 	"mpicontend/internal/workloads"
 )
 
-// FaultConfig describes a fault-injection scenario and the resilient
-// transport's tuning. The zero value is a perfect network: no faults, no
-// reliability layer, zero overhead — fault-free runs are byte-identical
-// with or without this feature. All fault randomness is seeded, so a
-// faulty run is exactly reproducible.
-type FaultConfig struct {
-	// DropProb is the probability a wire packet is silently discarded.
-	DropProb float64
-	// DupProb is the probability a packet is delivered twice.
-	DupProb float64
-	// DelayProb is the probability a packet suffers extra latency,
-	// uniform in [1, DelayMaxNs] — reordering packets behind it.
-	DelayProb  float64
-	DelayMaxNs int64
-	// BrownoutPeriodNs > 0 enables periodic link brownouts: every period
-	// the inter-node links run at BrownoutFactor of nominal bandwidth
-	// for BrownoutDurationNs.
-	BrownoutPeriodNs   int64
-	BrownoutDurationNs int64
-	BrownoutFactor     float64
-	// NICStallProb is the probability one injection stalls the NIC for
-	// NICStallNs.
-	NICStallProb float64
-	NICStallNs   int64
-	// PreemptProb is the probability a thread is preempted for PreemptNs
-	// right after acquiring a runtime critical-section lock.
-	PreemptProb float64
-	PreemptNs   int64
-	// RTONs is the base retransmit timeout (default 50µs, doubling per
-	// retry); MaxRetries bounds retransmissions before the transport
-	// gives up and surfaces an MPI-style error.
-	RTONs      int64
-	MaxRetries int
-	// RequestTimeoutNs > 0 arms a per-request deadline surfaced as a
-	// timeout error through Wait/Test/Waitall.
-	RequestTimeoutNs int64
-	// WatchdogNs > 0 runs the progress watchdog at this interval.
-	WatchdogNs int64
-	// Seed drives the plane's private random streams (0 = derive from
-	// the world seed).
-	Seed uint64
-	// Crashes is the fail-stop schedule: each spec kills one rank (or its
-	// whole node) at a simulated time, turning it into a silent packet
-	// blackhole. A non-empty schedule arms the heartbeat failure detector
-	// and the ULFM-style recovery primitives.
-	Crashes []CrashSpec
-	// HeartbeatNs is the failure-detector heartbeat period (default 100µs);
-	// a peer silent for HeartbeatNs x HeartbeatMiss (default 3) is declared
-	// dead and its pending operations fail with a process-failure error.
-	HeartbeatNs   int64
-	HeartbeatMiss int
-}
+// FaultConfig describes a fault-injection scenario, the resilient
+// transport's tuning and the fail-stop crash schedule. The zero value is a
+// perfect network, byte-identical to a run without the fault plane.
+type FaultConfig = fault.Config
 
 // CrashSpec schedules one fail-stop failure.
-type CrashSpec struct {
-	// Rank is the world rank to kill.
-	Rank int
-	// AtNs is the simulated time of death.
-	AtNs int64
-	// OnLockHold delays the crash until the victim next holds a runtime
-	// critical-section lock at or after AtNs — the nastiest spot, since
-	// local waiters are queued behind a corpse.
-	OnLockHold bool
-	// Node kills every rank co-located on the victim's node.
-	Node bool
-}
+type CrashSpec = fault.CrashSpec
 
-func (c FaultConfig) config() fault.Config {
-	crashes := make([]fault.CrashSpec, len(c.Crashes))
-	for i, cs := range c.Crashes {
-		crashes[i] = fault.CrashSpec{Rank: cs.Rank, AtNs: cs.AtNs,
-			OnLockHold: cs.OnLockHold, Node: cs.Node}
-	}
-	if len(crashes) == 0 {
-		crashes = nil
-	}
-	return fault.Config{
-		DropProb: c.DropProb, DupProb: c.DupProb,
-		DelayProb: c.DelayProb, DelayMaxNs: c.DelayMaxNs,
-		BrownoutPeriodNs: c.BrownoutPeriodNs, BrownoutDurationNs: c.BrownoutDurationNs,
-		BrownoutFactor: c.BrownoutFactor,
-		NICStallProb:   c.NICStallProb, NICStallNs: c.NICStallNs,
-		PreemptProb: c.PreemptProb, PreemptNs: c.PreemptNs,
-		RTONs: c.RTONs, MaxRetries: c.MaxRetries,
-		RequestTimeoutNs: c.RequestTimeoutNs, WatchdogNs: c.WatchdogNs,
-		Seed:    c.Seed,
-		Crashes: crashes, HeartbeatNs: c.HeartbeatNs, HeartbeatMiss: c.HeartbeatMiss,
-	}
-}
-
-// NetStats reports the resilient transport's counters for one run; all
-// fields are zero on a perfect network. Injected-fault counters nest
-// under Fault.
+// NetStats reports the resilient transport's counters for one run.
 type NetStats = mpi.NetStats
 
-// PartStats reports the MPI-4 partitioned-communication counters for one
-// run; all fields are zero unless a partitioned mode was enabled.
+// PartStats reports the MPI-4 partitioned-communication counters.
 type PartStats = mpi.PartStats
 
-// Lock selects the critical-section arbitration used by the simulated MPI
-// runtime.
-type Lock int
+// ErrIllegalConfig is wrapped by every rejection of a runtime
+// configuration the simulator cannot model.
+var ErrIllegalConfig = mpi.ErrIllegalConfig
+
+// Lock selects the critical-section arbitration of the simulated runtime.
+type Lock = simlock.Kind
 
 // Arbitration methods. Mutex is the paper's baseline; Ticket and Priority
 // are its remedies; Single models MPI_THREAD_SINGLE (one thread, no lock);
 // the rest are related-work and ablation variants.
 const (
-	Mutex Lock = iota
-	Ticket
-	Priority
-	Single
-	TAS
-	MCS
-	PrioMutex
-	SocketPriority
-	// Cohort is a NUMA-aware bounded-batch cohort lock (extension).
-	Cohort
-	// CLH is the CLH queue lock: FCFS hand-off on per-waiter flags
-	// (related work; the queue-lock family's cache-friendly variant).
-	CLH
+	Mutex          = simlock.KindMutex
+	Ticket         = simlock.KindTicket
+	Priority       = simlock.KindPriority
+	Single         = simlock.KindNone
+	TAS            = simlock.KindTAS
+	MCS            = simlock.KindMCS
+	PrioMutex      = simlock.KindPrioMutex
+	SocketPriority = simlock.KindSocketPriority
+	Cohort         = simlock.KindCohort
+	CLH            = simlock.KindCLH
 )
 
-// String names the lock as in the paper's figures.
-func (l Lock) String() string { return l.kind().String() }
+// Binding selects how threads are pinned to cores (paper §4.2).
+type Binding = machine.Binding
 
-func (l Lock) kind() simlock.Kind {
-	switch l {
-	case Mutex:
-		return simlock.KindMutex
-	case Ticket:
-		return simlock.KindTicket
-	case Priority:
-		return simlock.KindPriority
-	case Single:
-		return simlock.KindNone
-	case TAS:
-		return simlock.KindTAS
-	case MCS:
-		return simlock.KindMCS
-	case PrioMutex:
-		return simlock.KindPrioMutex
-	case SocketPriority:
-		return simlock.KindSocketPriority
-	case Cohort:
-		return simlock.KindCohort
-	case CLH:
-		return simlock.KindCLH
-	default:
-		panic(fmt.Sprintf("mpisim: unknown lock %d", int(l)))
-	}
-}
-
-// Binding selects how threads are pinned to cores.
-type Binding int
-
-// Thread-to-core binding policies (paper §4.2).
+// Thread-to-core binding policies.
 const (
-	// Compact fills one socket before the next.
-	Compact Binding = iota
-	// Scatter round-robins threads over sockets.
-	Scatter
+	Compact = machine.Compact
+	Scatter = machine.Scatter
 )
-
-// String names the binding policy.
-func (b Binding) String() string { return b.binding().String() }
-
-func (b Binding) binding() machine.Binding {
-	if b == Scatter {
-		return machine.Scatter
-	}
-	return machine.Compact
-}
 
 // Granularity selects the critical-section granularity (paper Fig. 1).
-type Granularity int
+type Granularity = mpi.Granularity
 
 // Critical-section granularities, coarse to fine.
 const (
-	// Global is the paper's baseline: one critical section per call.
-	Global Granularity = iota
-	// BriefGlobal shrinks the section to the queue updates.
-	BriefGlobal
-	// FineGrain gives the matching queues and NIC separate locks.
-	FineGrain
-	// LockFree models idealized atomic queues.
-	LockFree
+	Global      = mpi.GranGlobal
+	BriefGlobal = mpi.GranBrief
+	FineGrain   = mpi.GranFine
+	LockFree    = mpi.GranLockFree
 )
 
-// String names the granularity as in Fig. 1.
-func (g Granularity) String() string { return g.gran().String() }
-
-func (g Granularity) gran() mpi.Granularity {
-	switch g {
-	case BriefGlobal:
-		return mpi.GranBrief
-	case FineGrain:
-		return mpi.GranFine
-	case LockFree:
-		return mpi.GranLockFree
-	default:
-		return mpi.GranGlobal
-	}
-}
-
-// ThroughputConfig parametrizes the osu_bw-derived multithreaded
-// throughput benchmark (paper §4.1).
-type ThroughputConfig struct {
-	Lock Lock
-	// Granularity selects the critical-section granularity (default
-	// Global, the paper's baseline).
-	Granularity Granularity
-	// SelectiveWakeup enables event-driven progress (§9 future work).
-	SelectiveWakeup bool
-	Binding         Binding
-	Threads         int
-	MsgBytes        int64
-	// Window is the per-thread request window (default 64, as in the
-	// paper); Windows is how many windows each thread completes.
-	Window  int
-	Windows int
-	// ProcsPerNode: 1 (default) or 2 for the process-per-socket setup.
-	ProcsPerNode int
-	Seed         uint64
-	// Trace enables the §4.3 fairness and §4.4 dangling-request
-	// analyses on the receiver's runtime.
-	Trace bool
-	// Fault injects network/scheduler faults (zero = perfect network).
-	Fault FaultConfig
-	// Telemetry attaches the deterministic observability plane (nil =
-	// disabled, zero recording overhead). Purely observational: enabling
-	// it never changes simulated results.
-	Telemetry *Telemetry
-}
-
-// ThroughputResult reports the throughput benchmark.
-type ThroughputResult struct {
-	Messages       int64
-	SimNs          int64
-	RateMsgsPerSec float64
-	// BiasCore and BiasSocket are the §4.3 bias factors (1 = fair);
-	// populated when Trace was set.
-	BiasCore, BiasSocket float64
-	// DanglingAvg is the §4.4 metric; populated when Trace was set.
-	DanglingAvg float64
-	// Net holds the resilient-transport counters.
-	Net NetStats
-}
-
-// Throughput runs the multithreaded point-to-point throughput benchmark.
-func Throughput(c ThroughputConfig) (ThroughputResult, error) {
-	tr := -1
-	if c.Trace {
-		tr = c.ProcsPerNode // first receiver rank
-		if tr == 0 {
-			tr = 1
-		}
-	}
-	r, err := workloads.Throughput(workloads.ThroughputParams{
-		Lock: c.Lock.kind(), Granularity: c.Granularity.gran(),
-		SelectiveWakeup: c.SelectiveWakeup, Binding: c.Binding.binding(),
-		Threads: c.Threads, MsgBytes: c.MsgBytes,
-		Window: c.Window, Windows: c.Windows,
-		ProcsPerNode: c.ProcsPerNode, Seed: c.Seed, TraceRank: tr,
-		Fault: c.Fault.config(), Tel: c.Telemetry.recorder(),
-	})
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	return ThroughputResult{
-		Messages: r.Messages, SimNs: r.SimNs, RateMsgsPerSec: r.RateMsgsPerSec,
-		BiasCore: r.BiasCore, BiasSocket: r.BiasSocket, DanglingAvg: r.DanglingAvg,
-		Net: r.Net,
-	}, nil
-}
-
-// LatencyConfig parametrizes the osu_latency-derived multithreaded
-// ping-pong benchmark (paper §6.1.1).
-type LatencyConfig struct {
-	Lock     Lock
-	Binding  Binding
-	Threads  int
-	MsgBytes int64
-	Iters    int
-	Seed     uint64
-	// Fault injects network/scheduler faults (zero = perfect network).
-	Fault FaultConfig
-	// Telemetry attaches the deterministic observability plane (nil =
-	// disabled).
-	Telemetry *Telemetry
-}
-
-// LatencyResult reports the latency benchmark.
-type LatencyResult struct {
-	AvgOneWayUs float64
-	SimNs       int64
-	// Net holds the resilient-transport counters.
-	Net NetStats
-}
-
-// Latency runs the multithreaded ping-pong latency benchmark.
-func Latency(c LatencyConfig) (LatencyResult, error) {
-	r, err := workloads.Latency(workloads.LatencyParams{
-		Lock: c.Lock.kind(), Binding: c.Binding.binding(),
-		Threads: c.Threads, MsgBytes: c.MsgBytes, Iters: c.Iters, Seed: c.Seed,
-		Fault: c.Fault.config(), Tel: c.Telemetry.recorder(),
-	})
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	return LatencyResult{AvgOneWayUs: r.AvgOneWayUs, SimNs: r.SimNs,
-		Net: r.Net}, nil
-}
-
-// VCIPolicy selects how operations are mapped onto a proc's virtual
+// VCIPolicy selects how operations map onto a proc's virtual
 // communication interfaces when VCIs > 1.
-type VCIPolicy int
+type VCIPolicy = vci.Policy
 
 // Mapping policies of the sharded runtime.
 const (
-	// PerComm maps all traffic of one communicator to one VCI.
-	PerComm VCIPolicy = iota
-	// PerTagHash maps by (communicator, tag), spreading one communicator
-	// over all VCIs when tags differ (e.g. one tag per thread).
-	PerTagHash
-	// ExplicitVCI uses the communicator's explicit VCI assignment,
-	// falling back to PerComm for unassigned communicators.
-	ExplicitVCI
+	PerComm     = vci.PerComm
+	PerTagHash  = vci.PerTagHash
+	ExplicitVCI = vci.Explicit
 )
-
-// String names the policy as used in figures and flags.
-func (p VCIPolicy) String() string { return p.policy().String() }
-
-func (p VCIPolicy) policy() vci.Policy {
-	switch p {
-	case PerTagHash:
-		return vci.PerTagHash
-	case ExplicitVCI:
-		return vci.Explicit
-	default:
-		return vci.PerComm
-	}
-}
 
 // ProgressMode selects who drives the MPI progress engine
 // (docs/PROGRESS.md).
-type ProgressMode int
+type ProgressMode = mpi.ProgressMode
 
-// Progress modes of the runtime.
+// Progress modes: polling from Wait (the paper's shape, the default),
+// one progress daemon per VCI shard, or daemons plus completion-queue
+// continuations.
 const (
-	// PollingProgress is the paper's shape: blocked application threads
-	// iterate the progress loop from Wait, re-acquiring the critical
-	// section around every poll. The default.
-	PollingProgress ProgressMode = iota
-	// StrongProgress runs a dedicated progress daemon per VCI shard;
-	// blocked application threads park instead of polling.
-	StrongProgress
-	// ContinuationProgress is strong progress plus completion-time
-	// callbacks and completion-queue draining: Waitall becomes one
-	// batched enqueue and a drain.
-	ContinuationProgress
+	PollingProgress      = mpi.ProgressPolling
+	StrongProgress       = mpi.ProgressStrong
+	ContinuationProgress = mpi.ProgressContinuation
 )
 
-// String names the progress mode as used in figures and flags.
-func (m ProgressMode) String() string { return m.mode().String() }
+// RMAOp selects the one-sided operation (paper §6.1.2).
+type RMAOp = workloads.RMAOp
 
-func (m ProgressMode) mode() mpi.ProgressMode {
-	switch m {
-	case StrongProgress:
-		return mpi.ProgressStrong
-	case ContinuationProgress:
-		return mpi.ProgressContinuation
-	default:
-		return mpi.ProgressPolling
-	}
-}
+// One-sided operations.
+const (
+	Put        = workloads.OpPut
+	Get        = workloads.OpGet
+	Accumulate = workloads.OpAcc
+)
 
-// N2NConfig parametrizes the all-to-all streaming benchmark (paper §5.2).
-type N2NConfig struct {
-	Lock     Lock
-	Procs    int
-	Threads  int
-	MsgBytes int64
-	Windows  int
-	Seed     uint64
-	// PerThreadTags pairs thread t of each rank with thread t of every
-	// peer via tags, making match pools per-thread instead of pooled
-	// per-process (and, with PerTagHash VCIs, per-VCI).
-	PerThreadTags bool
-	// Partitioned replaces each thread's per-message eager sends with
-	// MPI-4 partitioned channels: one persistent Psend/Precv pair per
-	// peer, each message a lock-free Pready partition flip, one aggregated
-	// wire transfer (and one runtime lock acquisition) per window.
-	Partitioned bool
-	// VCIs shards each proc's runtime into this many virtual
-	// communication interfaces, each with its own matching queues,
-	// request pool and critical-section lock (0/1 = the unsharded
-	// runtime, byte-identical to earlier versions). VCIPolicy picks the
-	// operation→VCI mapping.
-	VCIs      int
-	VCIPolicy VCIPolicy
-	// Progress selects who drives the progress engine: polling (default),
-	// strong (per-shard progress daemons), or continuation (daemons plus
-	// completion-queue Waitall). See docs/PROGRESS.md.
-	Progress ProgressMode
-	// Fault injects network/scheduler faults (zero = perfect network).
-	Fault FaultConfig
-	// Telemetry attaches the deterministic observability plane (nil =
-	// disabled).
-	Telemetry *Telemetry
-}
+// PatternKind selects a scenario of the multithreaded MPI pattern battery
+// (after Thakur & Gropp; paper §8 ref [27]).
+type PatternKind = workloads.Pattern
 
-// N2NResult reports the N2N benchmark.
-type N2NResult struct {
-	RateMsgsPerSec float64
-	SimNs          int64
-	UnexpectedHits int64
-	// Net holds the resilient-transport counters.
-	Net NetStats
-	// Part holds the partitioned-communication counters (all zero unless
-	// Partitioned was set).
-	Part PartStats
-}
+// Battery scenarios.
+const (
+	ConcurrentPairs = workloads.PatternConcurrentPairs
+	FanIn           = workloads.PatternFanIn
+	FanOut          = workloads.PatternFanOut
+	ComputeOverlap  = workloads.PatternComputeOverlap
+)
+
+// RecoveryStrategy selects how survivors continue after a rank failure.
+type RecoveryStrategy = workloads.RecoveryStrategy
+
+// Recovery strategies: shrink-and-redistribute or in-memory
+// checkpoint/restart.
+const (
+	Shrink     = workloads.RecoverShrink
+	Checkpoint = workloads.RecoverCheckpoint
+)
+
+// RecoveryKernel selects the communication structure a failure hits.
+type RecoveryKernel = workloads.RecoveryKernel
+
+// Recovery kernels: ring halo exchange or all-to-all.
+const (
+	KernelRing = workloads.KernelRing
+	KernelN2N  = workloads.KernelN2N
+)
+
+// Benchmark configurations and results (paper §4.1, §6.1.1, §5.2, §6.1.2,
+// the pattern battery and the fault-tolerant iterative workload).
+type (
+	ThroughputConfig = workloads.ThroughputParams
+	ThroughputResult = workloads.ThroughputResult
+	LatencyConfig    = workloads.LatencyParams
+	LatencyResult    = workloads.LatencyResult
+	N2NConfig        = workloads.N2NParams
+	N2NResult        = workloads.N2NResult
+	RMAConfig        = workloads.RMAParams
+	RMAResult        = workloads.RMAResult
+	PatternConfig    = workloads.PatternParams
+	PatternResult    = workloads.PatternResult
+	RecoveryConfig   = workloads.RecoveryParams
+	RecoveryResult   = workloads.RecoveryResult
+)
+
+// Application kernels (paper §6.2.1, §6.2.2, §6.3).
+type (
+	BFSConfig      = graph500.Params
+	BFSResult      = graph500.Result
+	StencilConfig  = stencil.Params
+	StencilResult  = stencil.Result
+	AssemblyConfig = genome.Params
+	AssemblyResult = genome.Result
+)
+
+// Throughput runs the multithreaded point-to-point throughput benchmark.
+func Throughput(c ThroughputConfig) (ThroughputResult, error) { return workloads.Throughput(c) }
+
+// Latency runs the multithreaded ping-pong latency benchmark.
+func Latency(c LatencyConfig) (LatencyResult, error) { return workloads.Latency(c) }
 
 // N2N runs the all-to-all streaming benchmark.
-func N2N(c N2NConfig) (N2NResult, error) {
-	r, err := workloads.N2N(workloads.N2NParams{
-		Lock: c.Lock.kind(), Procs: c.Procs, Threads: c.Threads,
-		MsgBytes: c.MsgBytes, Windows: c.Windows, Seed: c.Seed,
-		PerThreadTags: c.PerThreadTags, Partitioned: c.Partitioned,
-		VCIs: c.VCIs, VCIPolicy: c.VCIPolicy.policy(),
-		Progress: c.Progress.mode(),
-		Fault:    c.Fault.config(), Tel: c.Telemetry.recorder(),
-	})
-	if err != nil {
-		return N2NResult{}, err
-	}
-	return N2NResult{RateMsgsPerSec: r.RateMsgsPerSec, SimNs: r.SimNs,
-		UnexpectedHits: r.UnexpectedHits, Net: r.Net,
-		Part: r.Part}, nil
-}
+func N2N(c N2NConfig) (N2NResult, error) { return workloads.N2N(c) }
 
-// RMAOp selects the one-sided operation.
-type RMAOp int
+// RMA runs the one-sided benchmark with asynchronous progress threads.
+func RMA(c RMAConfig) (RMAResult, error) { return workloads.RMA(c) }
 
-// One-sided operations (paper §6.1.2).
-const (
-	Put RMAOp = iota
-	Get
-	Accumulate
-)
+// Pattern runs one scenario of the multithreaded pattern battery.
+func Pattern(c PatternConfig) (PatternResult, error) { return workloads.RunPattern(c) }
 
-// RMAConfig parametrizes the ARMCI-style one-sided benchmark with
-// asynchronous progress threads (paper §6.1.2).
-type RMAConfig struct {
-	Lock      Lock
-	Op        RMAOp
-	Procs     int
-	ElemBytes int64
-	Ops       int
-	Seed      uint64
-	// SelectiveWakeup enables event-driven progress (§9 future work).
-	SelectiveWakeup bool
-	// Fault injects network/scheduler faults (zero = perfect network).
-	Fault FaultConfig
-	// Telemetry attaches the deterministic observability plane (nil =
-	// disabled).
-	Telemetry *Telemetry
-}
-
-// RMAResult reports the RMA benchmark.
-type RMAResult struct {
-	RateElemPerSec float64
-	SimNs          int64
-	// Net holds the resilient-transport counters.
-	Net NetStats
-}
-
-// RMA runs the one-sided benchmark.
-func RMA(c RMAConfig) (RMAResult, error) {
-	op := workloads.OpPut
-	switch c.Op {
-	case Get:
-		op = workloads.OpGet
-	case Accumulate:
-		op = workloads.OpAcc
-	}
-	r, err := workloads.RMA(workloads.RMAParams{
-		Lock: c.Lock.kind(), Op: op, Procs: c.Procs,
-		ElemBytes: c.ElemBytes, Ops: c.Ops, Window: 1, Seed: c.Seed,
-		SelectiveWakeup: c.SelectiveWakeup, Fault: c.Fault.config(),
-		Tel: c.Telemetry.recorder(),
-	})
-	if err != nil {
-		return RMAResult{}, err
-	}
-	return RMAResult{RateElemPerSec: r.RateElemPerSec, SimNs: r.SimNs,
-		Net: r.Net}, nil
-}
-
-// BFSConfig parametrizes the Graph500 BFS kernel (paper §6.2.1).
-type BFSConfig struct {
-	Lock    Lock
-	Binding Binding
-	Procs   int
-	Threads int
-	// Scale is log2 of the vertex count (edge factor 16).
-	Scale int
-	Seed  uint64
-	// Fault injects network/scheduler faults (zero = perfect network).
-	Fault FaultConfig
-}
-
-// BFSResult reports the BFS kernel.
-type BFSResult struct {
-	MTEPS           float64
-	SimNs           int64
-	VisitedVertices int64
-	// Net holds the resilient-transport counters.
-	Net NetStats
-}
+// Recovery runs the fault-tolerant iterative workload: survivors detect the
+// configured crashes, revoke and shrink the communicator (or roll back to a
+// checkpoint) and finish the computation.
+func Recovery(c RecoveryConfig) (RecoveryResult, error) { return workloads.Recovery(c) }
 
 // BFS runs the Graph500 BFS kernel.
-func BFS(c BFSConfig) (BFSResult, error) {
-	r, err := graph500.Run(graph500.Params{
-		Lock: c.Lock.kind(), Binding: c.Binding.binding(),
-		Procs: c.Procs, Threads: c.Threads, Scale: c.Scale, Seed: c.Seed,
-		Fault: c.Fault.config(),
-	})
-	if err != nil {
-		return BFSResult{}, err
-	}
-	return BFSResult{MTEPS: r.MTEPS, SimNs: r.SimNs,
-		VisitedVertices: r.VisitedVertices, Net: r.Net}, nil
-}
+func BFS(c BFSConfig) (BFSResult, error) { return graph500.Run(c) }
 
-// StencilConfig parametrizes the 3-D 7-point stencil kernel (paper §6.2.2).
-type StencilConfig struct {
-	Lock       Lock
-	Procs      int
-	Threads    int
-	NX, NY, NZ int
-	Iters      int
-	Seed       uint64
-	// Funneled uses the MPI_THREAD_FUNNELED structure (thread 0
-	// communicates, lock-free runtime) instead of THREAD_MULTIPLE.
-	Funneled bool
-	// Partitioned moves the X/Y halo faces onto MPI-4 partitioned
-	// channels: every thread publishes its slab rows with a lock-free
-	// Pready and each face goes out as one aggregated transfer per
-	// iteration. Incompatible with Funneled.
-	Partitioned bool
-	// Progress selects who drives the progress engine (docs/PROGRESS.md).
-	// Incompatible with Funneled, which runs below MPI_THREAD_MULTIPLE.
-	Progress ProgressMode
-	// Fault injects network/scheduler faults (zero = perfect network).
-	Fault FaultConfig
-}
+// Stencil runs the 3-D 7-point stencil kernel.
+func Stencil(c StencilConfig) (StencilResult, error) { return stencil.Run(c) }
 
-// StencilResult reports the stencil kernel.
-type StencilResult struct {
-	GFlops                      float64
-	SimNs                       int64
-	MPIPct, ComputePct, SyncPct float64
-	Checksum                    float64
-	// Net holds the resilient-transport counters.
-	Net NetStats
-	// Part holds the partitioned-communication counters (all zero unless
-	// Partitioned was set).
-	Part PartStats
-}
-
-// Stencil runs the 3-D stencil kernel.
-func Stencil(c StencilConfig) (StencilResult, error) {
-	r, err := stencil.Run(stencil.Params{
-		Lock: c.Lock.kind(), Procs: c.Procs, Threads: c.Threads,
-		NX: c.NX, NY: c.NY, NZ: c.NZ, Iters: c.Iters, Seed: c.Seed,
-		Funneled: c.Funneled, Partitioned: c.Partitioned,
-		Progress: c.Progress.mode(),
-		Fault:    c.Fault.config(),
-	})
-	if err != nil {
-		return StencilResult{}, err
-	}
-	return StencilResult{GFlops: r.GFlops, SimNs: r.SimNs, MPIPct: r.MPIPct,
-		ComputePct: r.ComputePct, SyncPct: r.SyncPct, Checksum: r.Checksum,
-		Net: r.Net, Part: r.Part}, nil
-}
-
-// AssemblyConfig parametrizes the SWAP-style genome assembly application
-// (paper §6.3).
-type AssemblyConfig struct {
-	Lock      Lock
-	Procs     int
-	GenomeLen int
-	Reads     int
-	Seed      uint64
-	// Fault injects network/scheduler faults (zero = perfect network).
-	Fault FaultConfig
-}
-
-// AssemblyResult reports the assembly run.
-type AssemblyResult struct {
-	SimNs       int64
-	Contigs     int
-	ContigBases int64
-	N50         int
-	// Net holds the resilient-transport counters.
-	Net NetStats
-}
-
-// Assembly runs the genome assembly application.
-func Assembly(c AssemblyConfig) (AssemblyResult, error) {
-	r, err := genome.Run(genome.Params{
-		Lock: c.Lock.kind(), Procs: c.Procs,
-		GenomeLen: c.GenomeLen, Reads: c.Reads, Seed: c.Seed,
-		Fault: c.Fault.config(),
-	})
-	if err != nil {
-		return AssemblyResult{}, err
-	}
-	return AssemblyResult{SimNs: r.SimNs, Contigs: len(r.Contigs),
-		ContigBases: r.ContigBases, N50: r.N50, Net: r.Net}, nil
-}
+// Assembly runs the SWAP-style genome assembly application.
+func Assembly(c AssemblyConfig) (AssemblyResult, error) { return genome.Run(c) }
 
 // Figure is a rendered experiment table.
 type Figure struct {
@@ -677,22 +233,11 @@ type Figure struct {
 // paper plus ablations).
 func Experiments() []string { return experiments.IDs() }
 
-// RunExperiment regenerates the given table/figure. quick shrinks the
-// sweep for fast runs.
-func RunExperiment(id string, quick bool) ([]Figure, error) {
-	return RunExperimentSeeded(id, quick, 0)
-}
-
-// RunExperimentSeeded is RunExperiment with an explicit base RNG seed
-// (0 = the default seed).
-func RunExperimentSeeded(id string, quick bool, seed uint64) ([]Figure, error) {
-	return RunExperimentMode(id, quick, seed, PollingProgress)
-}
-
-// RunExperimentMode is RunExperimentSeeded with an explicit progress mode
-// for the experiments that honour it (the N2N-shaped figures; the
-// progress experiment sweeps every mode itself). PollingProgress
-// reproduces RunExperimentSeeded exactly.
+// RunExperimentMode regenerates the given table/figure. quick shrinks the
+// sweep for fast runs, seed is the base RNG seed (0 = the default seed),
+// and progress sets the progress mode for the experiments that honour it
+// (the N2N-shaped figures; the progress experiment sweeps every mode
+// itself).
 func RunExperimentMode(id string, quick bool, seed uint64, progress ProgressMode) ([]Figure, error) {
 	e, err := experiments.Get(id)
 	if err != nil {
@@ -701,7 +246,7 @@ func RunExperimentMode(id string, quick bool, seed uint64, progress ProgressMode
 	if id == "table1" {
 		return figuresFor(e, nil), nil
 	}
-	tables, err := e.Run(experiments.Options{Quick: quick, Seed: seed, Progress: progress.mode()})
+	tables, err := e.Run(experiments.Options{Quick: quick, Seed: seed, Progress: progress})
 	if err != nil {
 		return nil, err
 	}
@@ -710,7 +255,7 @@ func RunExperimentMode(id string, quick bool, seed uint64, progress ProgressMode
 
 // figuresFor converts an experiment's rendered tables to public Figures.
 // It is the single table→Figure path, shared by the one-experiment entry
-// points and the parallel Sweep, so both produce identical bytes.
+// point and the parallel Sweep, so both produce identical bytes.
 func figuresFor(e experiments.Experiment, tables []*report.Table) []Figure {
 	if e.ID == "table1" {
 		// Table 1 is static machine-specification text, not a data series.
@@ -725,140 +270,4 @@ func figuresFor(e experiments.Experiment, tables []*report.Table) []Figure {
 			Text: data.ASCII(), Chart: t.Chart(), Data: data})
 	}
 	return figs
-}
-
-// PatternKind selects a scenario of the multithreaded MPI pattern battery
-// (after Thakur & Gropp; paper §8 ref [27]).
-type PatternKind int
-
-// Battery scenarios.
-const (
-	// ConcurrentPairs pairs thread i of each rank.
-	ConcurrentPairs PatternKind = iota
-	// FanIn drives all sender threads into one receiver.
-	FanIn
-	// FanOut feeds all receiver threads from one sender.
-	FanOut
-	// ComputeOverlap interleaves computation with communication.
-	ComputeOverlap
-)
-
-// PatternConfig parametrizes one battery run.
-type PatternConfig struct {
-	Lock     Lock
-	Pattern  PatternKind
-	Threads  int
-	MsgBytes int64
-	Msgs     int
-	Seed     uint64
-	// Fault injects network/scheduler faults (zero = perfect network).
-	Fault FaultConfig
-}
-
-// PatternResult reports one battery run.
-type PatternResult struct {
-	RateMsgsPerSec float64
-	SimNs          int64
-	// Net holds the resilient-transport counters.
-	Net NetStats
-}
-
-// Pattern runs one scenario of the multithreaded pattern battery.
-func Pattern(c PatternConfig) (PatternResult, error) {
-	pat := workloads.PatternConcurrentPairs
-	switch c.Pattern {
-	case FanIn:
-		pat = workloads.PatternFanIn
-	case FanOut:
-		pat = workloads.PatternFanOut
-	case ComputeOverlap:
-		pat = workloads.PatternComputeOverlap
-	}
-	r, err := workloads.RunPattern(workloads.PatternParams{
-		Lock: c.Lock.kind(), Pattern: pat, Threads: c.Threads,
-		MsgBytes: c.MsgBytes, Msgs: c.Msgs, Seed: c.Seed,
-		Fault: c.Fault.config(),
-	})
-	if err != nil {
-		return PatternResult{}, err
-	}
-	return PatternResult{RateMsgsPerSec: r.RateMsgsPerSec, SimNs: r.SimNs,
-		Net: r.Net}, nil
-}
-
-// RecoveryStrategy selects how survivors continue after a rank failure.
-type RecoveryStrategy int
-
-// Recovery strategies.
-const (
-	// Shrink is shrink-and-redistribute: survivors revoke, shrink to a new
-	// communicator and continue forward with the dead rank's domain share.
-	Shrink RecoveryStrategy = iota
-	// Checkpoint is in-memory checkpoint/restart: survivors roll back to
-	// the newest globally consistent checkpoint line and redo.
-	Checkpoint
-)
-
-// RecoveryConfig parametrizes the fault-tolerant iterative workload.
-type RecoveryConfig struct {
-	Lock Lock
-	// Procs is the rank count (default 4); ProcsPerNode packs ranks onto
-	// nodes (default 1).
-	Procs, ProcsPerNode int
-	// Iters is the per-rank iteration count (default 64).
-	Iters int
-	// Strategy selects the recovery scheme (default Shrink).
-	Strategy RecoveryStrategy
-	// N2N switches the kernel from ring halo exchange to all-to-all.
-	N2N bool
-	// CkptInterval is the checkpoint period in iterations (default 8).
-	CkptInterval int
-	Seed         uint64
-	// Fault carries the crash schedule the workload must survive.
-	Fault FaultConfig
-}
-
-// RecoveryResult reports one fault-tolerant run.
-type RecoveryResult struct {
-	SimNs int64
-	// Survivors is the rank count alive at the end; Checksum is the agreed
-	// final reduction (the determinism witness).
-	Survivors int
-	Checksum  int64
-	// DetectNs is the worst heartbeat detection latency; RecoverNs the
-	// worst per-rank time inside recovery; Recoveries the recovery rounds
-	// entered; ErrPathLocks the progress-lock acquisitions on the error
-	// path.
-	DetectNs, RecoverNs, Recoveries, ErrPathLocks int64
-	// Net holds the resilient-transport counters.
-	Net NetStats
-}
-
-// Recovery runs the fault-tolerant iterative workload: survivors detect the
-// configured crashes, revoke and shrink the communicator (or roll back to a
-// checkpoint) and finish the computation.
-func Recovery(c RecoveryConfig) (RecoveryResult, error) {
-	strat := workloads.RecoverShrink
-	if c.Strategy == Checkpoint {
-		strat = workloads.RecoverCheckpoint
-	}
-	kern := workloads.KernelRing
-	if c.N2N {
-		kern = workloads.KernelN2N
-	}
-	r, err := workloads.Recovery(workloads.RecoveryParams{
-		Lock: c.Lock.kind(), Procs: c.Procs, ProcsPerNode: c.ProcsPerNode,
-		Iters: c.Iters, Strategy: strat, Kernel: kern,
-		CkptInterval: c.CkptInterval, Seed: c.Seed,
-		Fault: c.Fault.config(),
-	})
-	if err != nil {
-		return RecoveryResult{}, err
-	}
-	return RecoveryResult{
-		SimNs: r.SimNs, Survivors: r.Survivors, Checksum: r.Checksum,
-		DetectNs: r.Recovery.DetectNs, RecoverNs: r.RecoverNs,
-		Recoveries: r.Recoveries, ErrPathLocks: r.Recovery.ErrPathLocks,
-		Net: r.Net,
-	}, nil
 }

@@ -10,6 +10,10 @@ func TestLockNames(t *testing.T) {
 		Mutex: "Mutex", Ticket: "Ticket", Priority: "Priority",
 		Single: "Single", TAS: "TAS", MCS: "MCS",
 		PrioMutex: "PrioMutex", SocketPriority: "SocketPriority",
+		Cohort: "Cohort", CLH: "CLH",
+	}
+	if len(want) != 10 {
+		t.Fatalf("lock constants collide: %d distinct of 10", len(want))
 	}
 	for l, s := range want {
 		if l.String() != s {
@@ -20,7 +24,7 @@ func TestLockNames(t *testing.T) {
 
 func TestThroughputFacade(t *testing.T) {
 	r, err := Throughput(ThroughputConfig{Lock: Ticket, Threads: 4,
-		MsgBytes: 64, Windows: 3, Trace: true})
+		MsgBytes: 64, Windows: 3, TraceRank: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +33,32 @@ func TestThroughputFacade(t *testing.T) {
 	}
 	if r.BiasCore == 0 && r.BiasSocket == 0 {
 		t.Error("trace requested but bias factors empty")
+	}
+}
+
+// TestThroughputTraceRank pins the tracing default: the zero TraceRank
+// traces nothing, and tracing the receiver only observes — the simulated
+// results match the untraced run exactly.
+func TestThroughputTraceRank(t *testing.T) {
+	c := ThroughputConfig{Lock: Mutex, Threads: 4, MsgBytes: 64, Windows: 3}
+	off, err := Throughput(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.FairSamples != 0 || off.BiasCore != 0 {
+		t.Fatalf("zero TraceRank traced: %d samples, core bias %v", off.FairSamples, off.BiasCore)
+	}
+	c.TraceRank = 1
+	on, err := Throughput(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.FairSamples == 0 || on.BiasCore == 0 {
+		t.Fatalf("TraceRank 1 traced nothing: %+v", on)
+	}
+	if on.Messages != off.Messages || on.SimNs != off.SimNs || on.RateMsgsPerSec != off.RateMsgsPerSec {
+		t.Errorf("tracing changed the run: traced %d msgs/%d ns/%v, untraced %d/%d/%v",
+			on.Messages, on.SimNs, on.RateMsgsPerSec, off.Messages, off.SimNs, off.RateMsgsPerSec)
 	}
 }
 
@@ -64,6 +94,24 @@ func TestRMAFacade(t *testing.T) {
 	}
 }
 
+// TestRMAWindowDefault: a zero Window flushes after every operation, the
+// same run as Window 1.
+func TestRMAWindowDefault(t *testing.T) {
+	c := RMAConfig{Lock: Mutex, Op: Put, ElemBytes: 64, Ops: 4}
+	def, err := RMA(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Window = 1
+	one, err := RMA(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def != one {
+		t.Errorf("zero Window = %+v, Window 1 = %+v", def, one)
+	}
+}
+
 func TestBFSFacade(t *testing.T) {
 	r, err := BFS(BFSConfig{Lock: Ticket, Procs: 2, Threads: 2, Scale: 9})
 	if err != nil {
@@ -90,7 +138,7 @@ func TestAssemblyFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Contigs == 0 || r.ContigBases == 0 {
+	if len(r.Contigs) == 0 || r.ContigBases == 0 {
 		t.Fatalf("degenerate: %+v", r)
 	}
 }
@@ -103,7 +151,7 @@ func TestExperimentsListed(t *testing.T) {
 }
 
 func TestRunExperimentTable1(t *testing.T) {
-	figs, err := RunExperiment("table1", true)
+	figs, err := RunExperimentMode("table1", true, 0, PollingProgress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +161,13 @@ func TestRunExperimentTable1(t *testing.T) {
 }
 
 func TestRunExperimentUnknown(t *testing.T) {
-	if _, err := RunExperiment("fig99", true); err == nil {
+	if _, err := RunExperimentMode("fig99", true, 0, PollingProgress); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunExperimentFig2b(t *testing.T) {
-	figs, err := RunExperiment("fig2b", true)
+	figs, err := RunExperimentMode("fig2b", true, 0, PollingProgress)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,63 +5,29 @@ import (
 	"mpicontend/internal/telemetry"
 )
 
-// Telemetry is the public handle on the deterministic observability
-// plane: attach one to a benchmark config (or obtain one from
-// TraceExperiment) and export the recording as a Perfetto trace and a
-// contention profile. Recording keys entirely off the simulated clock, so
-// same-seed runs export byte-identical artifacts. A nil *Telemetry means
-// disabled and costs one pointer check per hook site.
-type Telemetry struct {
-	rec *telemetry.Recorder
-}
+// Telemetry is the deterministic observability plane: attach one to a
+// benchmark config's Tel field (or obtain one from TraceExperimentMode)
+// and export the recording with Perfetto() and Profile(). Recording keys
+// entirely off the simulated clock, so same-seed runs export
+// byte-identical artifacts. A nil *Telemetry means disabled.
+type Telemetry = telemetry.Recorder
 
 // NewTelemetry returns an enabled telemetry plane.
-func NewTelemetry() *Telemetry { return &Telemetry{rec: telemetry.New()} }
-
-// recorder returns the underlying recorder (nil when t is nil).
-func (t *Telemetry) recorder() *telemetry.Recorder {
-	if t == nil {
-		return nil
-	}
-	return t.rec
-}
-
-// PerfettoJSON exports the recording as Chrome trace_event JSON, loadable
-// in ui.perfetto.dev.
-func (t *Telemetry) PerfettoJSON() []byte { return t.recorder().Perfetto() }
-
-// Profile derives the contention/progress/critical-path analysis.
-func (t *Telemetry) Profile() *telemetry.Profile { return t.recorder().Profile() }
-
-// ProfileJSON exports the derived profile as indented JSON.
-func (t *Telemetry) ProfileJSON() ([]byte, error) { return t.recorder().Profile().Marshal() }
-
-// ProfileText renders the derived profile as a deterministic text report.
-func (t *Telemetry) ProfileText() string { return t.recorder().Profile().Text() }
-
-// Spans returns the number of recorded spans.
-func (t *Telemetry) Spans() int { return len(t.recorder().Spans()) }
+func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // FigureData is the machine-readable form of a Figure (the flat JSON
 // results schema shared by the telemetry exporter and mpistorm -json).
 type FigureData = telemetry.FigureJSON
 
-// TraceExperiment runs the traced representative point of an experiment
-// with the telemetry plane attached and returns the recording plus a
-// one-line description of the traced workload. The run is deterministic:
-// the same (id, quick, seed) triple yields byte-identical PerfettoJSON
-// and ProfileJSON output.
-func TraceExperiment(id string, quick bool, seed uint64) (*Telemetry, string, error) {
-	return TraceExperimentMode(id, quick, seed, PollingProgress)
-}
-
-// TraceExperimentMode is TraceExperiment with an explicit progress mode
-// for the probes that honour it (the N2N-shaped ones). PollingProgress
-// reproduces TraceExperiment exactly.
+// TraceExperimentMode runs the traced representative point of an
+// experiment with the telemetry plane attached and returns the recording
+// plus a one-line description of the traced workload. progress sets the
+// progress mode for the probes that honour it (the N2N-shaped ones). The
+// run is deterministic: the same arguments yield byte-identical exports.
 func TraceExperimentMode(id string, quick bool, seed uint64, progress ProgressMode) (*Telemetry, string, error) {
 	t := NewTelemetry()
 	desc, err := experiments.Probe(id,
-		experiments.Options{Quick: quick, Seed: seed, Progress: progress.mode()}, t.rec)
+		experiments.Options{Quick: quick, Seed: seed, Progress: progress}, t)
 	if err != nil {
 		return nil, "", err
 	}
