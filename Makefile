@@ -13,16 +13,12 @@
 #   make trace   record + validate a Perfetto trace of the fig8a probe, then
 #                render a lock-ownership timeline with biasprobe
 #   make parity  prove -jobs 1 and -jobs 4 stdout are byte-identical
-#   make bench   run the repo benchmarks and emit $(BENCH_OUT)
 #   make simcheck-bench  time the whole-module analysis; fail beyond 60s
 
 GO ?= go
 GOFMT ?= gofmt
 
-# Benchmark report file; CI asks for it with `make -s bench-out`.
-BENCH_OUT = BENCH_12.json
-
-.PHONY: check build fmt vet simcheck simcheck-bench test perfbench-build race shuffle fuzz soak figures trace parity bench bench-out
+.PHONY: check build fmt vet simcheck simcheck-bench test perfbench-build race shuffle fuzz soak figures trace parity
 
 check: build fmt vet simcheck test perfbench-build
 
@@ -116,16 +112,3 @@ parity:
 	/tmp/mpistorm-parity -experiment partitioned -jobs 4 > /tmp/parity-partitioned-jobs4.txt
 	cmp /tmp/parity-partitioned-jobs1.txt /tmp/parity-partitioned-jobs4.txt
 	@echo "parity OK: -jobs 1 and -jobs 4 output is byte-identical"
-
-# Benchmark report: one timed pass over the repository benchmarks
-# (-benchtime=1x keeps it minutes, and allocs/op is exact either way),
-# plus the internal/sim micro-benchmarks on the default time budget (one
-# op there is a single switch), parsed into $(BENCH_OUT) by
-# cmd/benchjson. CI uploads the file as an artifact so runs can be diffed
-# for perf/allocation regressions.
-bench:
-	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/mpi && \
-	  $(GO) test -run '^$$' -bench . -benchmem ./internal/sim; } | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
-
-bench-out:
-	@echo $(BENCH_OUT)

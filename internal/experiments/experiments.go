@@ -5,8 +5,7 @@
 // (the render phase); Experiment.Run executes the two phases serially,
 // while RunAllFunc fans the points of many experiments across the
 // internal/sweep worker pool with byte-identical output. The cmd tools
-// and the repository-level benchmarks are thin wrappers around this
-// registry.
+// and the mpisim facade are thin wrappers around this registry.
 //
 // experiments sits on the driver-shell side of the core/shell boundary
 // (docs/ARCHITECTURE.md): it orchestrates deterministic runs but contains

@@ -6,6 +6,7 @@ import (
 	"mpicontend/internal/fault"
 	"mpicontend/internal/machine"
 	"mpicontend/internal/mpi"
+	"mpicontend/internal/sim"
 	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
 )
@@ -153,6 +154,8 @@ type RecoveryResult struct {
 	Recovery mpi.RecoveryStats
 	// Net holds the resilience counters.
 	Net mpi.NetStats
+	// Engine is the simulator's own work account for the run.
+	Engine sim.Stats
 }
 
 // ckptEntry is one in-memory checkpoint: the state of one rank at an
@@ -242,6 +245,7 @@ func Recovery(p RecoveryParams) (RecoveryResult, error) {
 		return res, fmt.Errorf("recovery(%v,%v,%v): %w", p.Lock, p.Strategy, p.Kernel, err)
 	}
 	res.SimNs = endAt
+	res.Engine = w.Eng.Stats()
 	res.Recovery = w.Recovery()
 	crashed := make(map[int]bool, len(res.Recovery.Crashed))
 	for _, r := range res.Recovery.Crashed {
