@@ -15,7 +15,7 @@ import (
 // outside internal/analysis. Every allow excuses a finding instead of
 // fixing it, so the count may only go down: lower this constant when a
 // change removes sites, never raise it to admit new ones.
-const maxAllowSites = 59
+const maxAllowSites = 57
 
 // TestAllowSiteBudget counts the allow directives the way parseAllows
 // reads them (a comment starting with the directive prefix) and fails

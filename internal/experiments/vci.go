@@ -35,10 +35,10 @@ func vciCounts(o Options) []int {
 // attached and returns the message rate plus the total wait time on the
 // proc-wide arbitration sites: the per-VCI shard sections and the
 // shared-NIC injection lock (the one arbitration point sharding cannot
-// remove). The explicit mapping policy (one setup-time comm per thread,
+// remove). The explicit placement (one setup-time comm per thread,
 // pinned to VCI t%n) keeps the thread→shard assignment exact and
 // balanced at every count, so the curves measure sharding itself rather
-// than tag-hash collision luck. Telemetry is purely observational, so
+// than context-hash collision luck. Telemetry is purely observational, so
 // attaching it does not perturb the simulated rate.
 func vciCell(o Options, k simlock.Kind, n int) (rate, csWaitNs, nicWaitNs float64, err error) {
 	rec := telemetry.New()

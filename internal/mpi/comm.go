@@ -60,10 +60,12 @@ func (c *Comm) collComm() *Comm {
 		vcihint: c.vcihint}
 }
 
-// SetVCI pins every operation of the communicator to the given VCI under
-// the Explicit mapping policy (an MPICH-style comm info hint). Must be
-// called identically on every member before any traffic; under other
-// policies the hint is ignored. Returns c for chaining.
+// SetVCI pins every operation of the communicator to the given VCI (an
+// MPICH-style comm info hint); an unpinned communicator maps by its
+// context hash (vci.Select). Must be called identically on every member
+// before any traffic. On a sharded world the VCI must be below
+// Config.VCIs; a one-VCI world maps every pin to shard 0. Returns c for
+// chaining.
 func (c *Comm) SetVCI(v int) *Comm {
 	if v < 0 {
 		panic(fmt.Sprintf("mpi: SetVCI(%d): negative VCI", v))

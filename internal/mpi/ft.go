@@ -141,7 +141,6 @@ func (w *World) killRank(rank int) {
 	w.ft.crashedAt[rank] = now
 	w.Fab.Kill(rank)
 	w.plane.NoteCrash()
-	w.faultEvent("crash", rank)
 	// The rank's application threads will never return: retire them from
 	// the stop accounting now so the surviving ranks' completion (not the
 	// dead ones') ends the run.
@@ -208,7 +207,6 @@ func (p *Proc) declareDead(r int, now sim.Time) {
 	w := p.w
 	if w.ft.detectedAt[r] < 0 {
 		w.ft.detectedAt[r] = now
-		w.faultEvent("detect", p.Rank)
 	}
 	ft.sweep(now, func(req *Request) bool { return req.peerIs(r) }, ErrProcFailed)
 	if p.rel != nil {

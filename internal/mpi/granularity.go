@@ -4,13 +4,13 @@ package mpi
 // the runtime has: every section an MPI call opens is named by the VCI
 // shard it guards. mainBegin/mainEnd, stateBegin/stateEnd and
 // progressRound take that shard index and are the one place the
-// configured Granularity is switched on; wildBegin/wildEnd own every
-// shard at once for the cross-VCI wildcard path. The global critical
-// section of the paper is shard 0 of a one-VCI proc. Brief/Fine/LockFree
-// only ever see v == 0, because NewWorld rejects more than one VCI under
-// any granularity but GranGlobal. The helpers open and close sections
-// across function boundaries by design; the lockpair analyzer enforces
-// pairing at their call sites throughout the package.
+// configured Granularity is switched on. A section never spans more than
+// one shard. The global critical section of the paper is shard 0 of a
+// one-VCI proc. Brief/Fine/LockFree only ever see v == 0, because
+// NewWorld rejects more than one VCI under any granularity but
+// GranGlobal. The helpers open and close sections across function
+// boundaries by design; the lockpair analyzer enforces pairing at their
+// call sites throughout the package.
 //
 //simcheck:allow-file lockpair protocol wrappers; pairing is enforced at call sites
 
@@ -153,7 +153,6 @@ func (c *csLock) enter(th *Thread, cl simlock.Class) {
 		// acquisition, so every waiter pays for it — the pathology the
 		// critical-section arbitration must absorb.
 		if stall := pl.PreemptStall(); stall > 0 {
-			th.P.w.faultEvent("preempt", th.P.Rank)
 			th.S.Sleep(stall)
 		}
 	}
@@ -304,29 +303,4 @@ func (th *Thread) progressRound(v int, cl simlock.Class, post func()) {
 			post()
 		}
 	}
-}
-
-// wildBegin opens the cross-VCI wildcard section: every shard's critical
-// section, acquired in ascending shard order (the module-wide discipline
-// that makes the multi-acquire deadlock-free; the lock-identity layer
-// canonicalizes the indexed acquisitions as one ordered class). Main-path
-// work is charged once, after the last acquisition. Only reached with
-// more than one VCI, hence only under GranGlobal.
-func (th *Thread) wildBegin() {
-	th.checkCrashed()
-	th.checkThreadLevel()
-	p := th.P
-	for v := range p.vcis {
-		p.vcis[v].cs.enter(th, simlock.High)
-	}
-	th.S.Sleep(th.cost().MainPathWork)
-}
-
-// wildEnd closes a wildBegin section, releasing in reverse order.
-func (th *Thread) wildEnd() {
-	p := th.P
-	for v := len(p.vcis) - 1; v >= 0; v-- {
-		p.vcis[v].cs.exit(th, simlock.High)
-	}
-	th.exitThreadLevel()
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mpicontend/internal/machine"
-	"mpicontend/internal/mpi/vci"
 	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
 )
@@ -616,7 +615,7 @@ func TestTracedLocksMatchTelemetry(t *testing.T) {
 		cases = append(cases, tcase{fmt.Sprintf("vcis1/%v", g), withGranularity(g),
 			func(w *World) []*Comm { c := w.Comm(); return []*Comm{c, c, c, c} }})
 	}
-	cases = append(cases, tcase{"vcis4/Global", withVCIs(4, vci.Explicit), func(w *World) []*Comm {
+	cases = append(cases, tcase{"vcis4/Global", withVCIs(4), func(w *World) []*Comm {
 		var cs []*Comm
 		for v := 0; v < 4; v++ {
 			c := w.SetupComm().SetVCI(v)
@@ -672,10 +671,10 @@ func TestTracedLocksMatchTelemetry(t *testing.T) {
 			if len(w.Proc(1).vcis) > 1 {
 				first := w.Proc(1).vcis[0].cs.grants.Grants()
 				differ := false
-				for _, sh := range w.Proc(1).vcis {
+				for v, sh := range w.Proc(1).vcis {
 					differ = differ || sh.cs.grants.Grants() != first
 					if sh.cs.grants.Samples() == 0 {
-						t.Errorf("shard %d lock never contended", sh.idx)
+						t.Errorf("shard %d lock never contended", v)
 					}
 				}
 				if !differ {

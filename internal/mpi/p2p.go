@@ -12,7 +12,7 @@ func (th *Thread) Isend(c *Comm, dst, tag int, bytes int64, payload interface{})
 	p := th.P
 	cost := th.cost()
 	worldDst := c.world(dst)
-	v := p.selectVCI(c, tag)
+	v := p.selectVCI(c)
 	tel := th.telStart()
 	th.mainBegin(v)
 	r := p.allocReq(v)
@@ -66,12 +66,7 @@ func (th *Thread) Irecv(c *Comm, src, tag int) *Request {
 // maxBytes < 0 means unbounded.
 func (th *Thread) IrecvN(c *Comm, src, tag int, maxBytes int64) *Request {
 	p := th.P
-	if p.vciWildcard(tag) {
-		// AnyTag under a tag-hashed mapping cannot name one shard: take
-		// the deterministic cross-VCI wildcard path.
-		return th.irecvWild(c, src, tag, maxBytes)
-	}
-	v := p.selectVCI(c, tag)
+	v := p.selectVCI(c)
 	tel := th.telStart()
 	th.mainBegin(v)
 	r := p.allocReq(v)
@@ -125,70 +120,10 @@ func (p *Proc) recvUnexpected(th *Thread, r *Request, e *envelope) {
 	}
 }
 
-// irecvWild posts a cross-VCI wildcard receive: the request is posted on
-// every shard's queue under all shard locks (ascending order), after a
-// deterministic earliest-arrival scan of every shard's unexpected queue.
-// The request object comes from shard 0's pool and — receives are never
-// recycled — provably outlives its tombstone copies on unmatched shards.
-func (th *Thread) irecvWild(c *Comm, src, tag int, maxBytes int64) *Request {
-	p := th.P
-	cost := th.cost()
-	tel := th.telStart()
-	th.wildBegin()
-	r := p.allocReq(0)
-	*r = Request{p: p, kind: RecvReq, src: src, tag: tag, ctx: c.ctx,
-		comm: c, maxBytes: maxBytes, vci: -1, wild: true}
-	p.outstanding++
-	p.armDeadline(r)
-	if p.ftIssue(r) {
-		th.wildEnd()
-		th.telCall("Irecv", tel)
-		return r
-	}
-	// Earliest matching arrival across all shards wins (virtual arrival
-	// time, shard index breaking ties) — the same total order a single
-	// unexpected queue would have produced. Within one shard the queue is
-	// arrival-ordered, so its first match is its earliest.
-	bestShard, bestIdx := -1, -1
-	for v, sh := range p.vcis {
-		for i, e := range sh.unexp {
-			if e.matches(src, tag, c.ctx) {
-				if bestShard < 0 || e.arrivedAt < p.vcis[bestShard].unexp[bestIdx].arrivedAt {
-					bestShard, bestIdx = v, i
-				}
-				break
-			}
-		}
-		th.S.Sleep(cost.QueueSearchPerItem * int64(len(sh.unexp)+1))
-	}
-	if bestShard >= 0 {
-		sh := p.vcis[bestShard]
-		e := sh.unexp[bestIdx]
-		sh.unexp = append(sh.unexp[:bestIdx], sh.unexp[bestIdx+1:]...)
-		p.UnexpectedHits++
-		if p.w.tel != nil {
-			p.w.tel.Unexpected(th.S.Now() - e.arrivedAt)
-		}
-		r.vci = bestShard
-		p.recvUnexpected(th, r, e)
-	} else {
-		// No arrival yet: cross-post to every shard so whichever shard the
-		// message lands on can match it; the other copies become
-		// tombstones once bound.
-		for _, sh := range p.vcis {
-			sh.posted = append(sh.posted, r)
-		}
-	}
-	th.wildEnd()
-	th.telCall("Irecv", tel)
-	return r
-}
-
 // Wait blocks until the request completes, then frees it. While waiting it
 // iterates the progress loop, yielding the critical section between polls
 // (low priority under the priority lock). The loop drives only the
-// shard(s) the request can complete on — its own VCI, or every VCI while a
-// wildcard is still unbound (re-read each round; a bind narrows the loop).
+// shard the request lives on.
 // It returns the request's error, if any, after the configured error
 // handler runs (MPI_ERRORS_ARE_FATAL, the default, panics instead of
 // returning).
@@ -206,16 +141,16 @@ func (th *Thread) Wait(r *Request) error {
 	}
 	cost := th.cost()
 	tel := th.telStart()
-	v0 := reqShard(r)
-	th.stateBegin(v0, simlock.High)
+	v := r.vci
+	th.stateBegin(v, simlock.High)
 	if r.complete {
 		th.S.Sleep(cost.RequestFreeWork)
 		r.free()
-		th.stateEnd(v0, simlock.High)
+		th.stateEnd(v, simlock.High)
 		th.telCall("Wait", tel)
 		return r.release()
 	}
-	th.stateEnd(v0, simlock.High)
+	th.stateEnd(v, simlock.High)
 	th.pollBackoff = 0
 	done := false
 	check := func() {
@@ -226,25 +161,12 @@ func (th *Thread) Wait(r *Request) error {
 		}
 	}
 	for {
-		th.progressFor(r, simlock.Low, check, &done)
+		th.progressRound(v, simlock.Low, check)
 		if done {
 			th.telCall("Wait", tel)
 			return r.release()
 		}
 		th.progressYield()
-	}
-}
-
-// progressFor runs one progress round, with post, on the shard r lives
-// on, or — while r is an unbound wildcard — on every shard in turn until
-// post has set *done.
-func (th *Thread) progressFor(r *Request, cl simlock.Class, post func(), done *bool) {
-	if v := r.vci; v >= 0 {
-		th.progressRound(v, cl, post)
-		return
-	}
-	for v := 0; v < len(th.P.vcis) && !*done; v++ {
-		th.progressRound(v, cl, post)
 	}
 }
 
@@ -348,13 +270,13 @@ func (th *Thread) Test(r *Request) bool {
 	cost := th.cost()
 	tel := th.telStart()
 	done := false
-	th.progressFor(r, simlock.High, func() {
+	th.progressRound(r.vci, simlock.High, func() {
 		if r.complete {
 			th.S.Sleep(cost.RequestFreeWork)
 			r.free()
 			done = true
 		}
-	}, &done)
+	})
 	th.telCall("Test", tel)
 	if done {
 		// Run the error handler (panic under MPI_ERRORS_ARE_FATAL);
@@ -411,23 +333,7 @@ func (th *Thread) CancelRecv(r *Request) {
 	}
 	p := th.P
 	cost := th.cost()
-	if r.wild && r.vci < 0 {
-		// Unbound wildcard: withdraw every cross-posted copy under all
-		// shard locks.
-		th.wildBegin()
-		th.S.Sleep(cost.RequestFreeWork)
-		if r.complete {
-			th.wildEnd()
-			panic("mpi: CancelRecv on a completed request")
-		}
-		for _, sh := range p.vcis {
-			sh.posted = withdraw(sh.posted, r)
-		}
-		r.cancel()
-		th.wildEnd()
-		return
-	}
-	v := reqShard(r)
+	v := r.vci
 	th.stateBegin(v, simlock.High)
 	th.S.Sleep(cost.RequestFreeWork)
 	if r.complete {

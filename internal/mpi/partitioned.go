@@ -254,7 +254,7 @@ func (pr *Prequest) pinit(c *Comm, tag, parts int, bytesPer int64) {
 	pr.tag = tag
 	pr.parts = parts
 	pr.bytesPer = bytesPer
-	pr.vci = pr.p.selectVCI(c, tag)
+	pr.vci = pr.p.selectVCI(c)
 }
 
 // PsendInit creates a persistent partitioned send of parts partitions of

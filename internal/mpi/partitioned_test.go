@@ -12,8 +12,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"mpicontend/internal/mpi/vci"
 )
 
 // TestPartitionedRoundTrip sends one partitioned epoch: every partition is
@@ -510,20 +508,22 @@ func TestPartitionedReadinessProperty(t *testing.T) {
 }
 
 // TestPartitionedVCIShardMapping pins the shard routing: sender and
-// receiver of one (comm, tag) land on the same VCI, and partitioned
-// traffic on different tags maps to different shards without interference.
+// receiver of one comm land on the same VCI, and partitioned traffic on
+// comms pinned to different shards flows without interference.
 func TestPartitionedVCIShardMapping(t *testing.T) {
 	w := testWorld(t, 2, func(cfg *Config) {
 		cfg.ThreadLevel = ThreadMultiple
 		cfg.VCIs = 4
-		cfg.VCIPolicy = vci.PerTagHash
 	})
-	c := w.Comm()
 	const parts = 4
 	tags := []int{0, 1, 2, 3, 7}
+	comms := pinnedComms(w, len(tags))
+	sendVCI := make([]int, len(tags))
+	recvVCI := make([]int, len(tags))
 	w.Spawn(0, "sender", func(th *Thread) {
-		for _, tag := range tags {
-			ps := th.PsendInit(c, 1, tag, parts, 64, tag)
+		for i, tag := range tags {
+			ps := th.PsendInit(comms[i], 1, tag, parts, 64, tag)
+			sendVCI[i] = ps.vci
 			th.Pstart(ps)
 			if err := th.PreadyRange(ps, 0, parts); err != nil {
 				t.Errorf("tag %d: %v", tag, err)
@@ -534,8 +534,9 @@ func TestPartitionedVCIShardMapping(t *testing.T) {
 		}
 	})
 	w.Spawn(1, "receiver", func(th *Thread) {
-		for _, tag := range tags {
-			pr := th.PrecvInit(c, 0, tag, parts, 64)
+		for i, tag := range tags {
+			pr := th.PrecvInit(comms[i], 0, tag, parts, 64)
+			recvVCI[i] = pr.vci
 			th.Pstart(pr)
 			if err := th.Pwait(pr); err != nil {
 				t.Errorf("tag %d Pwait(recv): %v", tag, err)
@@ -550,5 +551,15 @@ func TestPartitionedVCIShardMapping(t *testing.T) {
 	}
 	if err := w.CheckClean(); err != nil {
 		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for i := range tags {
+		if sendVCI[i] != i%4 || recvVCI[i] != i%4 {
+			t.Errorf("comm %d: send shard %d, recv shard %d, want %d", i, sendVCI[i], recvVCI[i], i%4)
+		}
+		seen[sendVCI[i]] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("partitioned traffic spanned %d shards, want at least 2", len(seen))
 	}
 }

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"mpicontend/internal/sim"
-	"mpicontend/internal/simlock"
-)
+import "mpicontend/internal/simlock"
 
 // Status describes a matched or probed message.
 type Status struct {
@@ -23,31 +20,7 @@ func (th *Thread) Iprobe(c *Comm, src, tag int) (Status, bool) {
 	var st Status
 	found := false
 	p := th.P
-	if p.vciWildcard(tag) {
-		// Cross-VCI probe: poll every shard, then report the earliest
-		// matching arrival across all unexpected queues under all shard
-		// locks (the same order a single queue would give).
-		for v := range p.vcis {
-			th.progressRound(v, simlock.High, nil)
-		}
-		var bestAt sim.Time
-		th.wildBegin()
-		for _, sh := range p.vcis {
-			for _, e := range sh.unexp {
-				if e.matches(src, tag, c.ctx) {
-					if !found || e.arrivedAt < bestAt {
-						st = Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
-						bestAt = e.arrivedAt
-						found = true
-					}
-					break
-				}
-			}
-		}
-		th.wildEnd()
-		return st, found
-	}
-	v := p.selectVCI(c, tag)
+	v := p.selectVCI(c)
 	th.progressRound(v, simlock.High, func() {
 		for _, e := range p.vcis[v].unexp {
 			if e.matches(src, tag, c.ctx) {

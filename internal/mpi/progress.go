@@ -184,34 +184,20 @@ func (p *Proc) handlePacket(th *Thread, pkt *fabric.Packet) {
 
 // matchPostedShard scans shard v's posted queue for a receive matching the
 // arrival, charging the per-item search cost, and removes and returns the
-// match. Cross-posted wildcard receives (irecvWild) are handled here: a
-// wildcard satisfied on another shard — or cancelled — is a tombstone and
-// is pruned for free during the scan; a live wildcard that matches is
-// bound to this shard (its copies elsewhere become tombstones).
+// match.
 func (p *Proc) matchPostedShard(th *Thread, v int, m rtsMeta) *Request {
 	cost := th.cost()
 	sh := p.vcis[v]
-	scanned := 0
-	for i := 0; i < len(sh.posted); {
-		r := sh.posted[i]
-		if r.wild && (r.complete || r.freed || (r.vci >= 0 && r.vci != v)) {
-			sh.posted = append(sh.posted[:i], sh.posted[i+1:]...)
-			continue
-		}
-		scanned++
+	for i, r := range sh.posted {
 		if matchesRecv(r, m.src, m.tag, m.ctx) {
 			// Dequeue before charging time: the scan+remove is one
 			// atomic operation even in the lock-free granularity.
 			sh.posted = append(sh.posted[:i], sh.posted[i+1:]...)
-			th.S.Sleep(cost.QueueSearchPerItem * int64(scanned))
-			if r.wild {
-				r.vci = v
-			}
+			th.S.Sleep(cost.QueueSearchPerItem * int64(i+1))
 			return r
 		}
-		i++
 	}
-	th.S.Sleep(cost.QueueSearchPerItem * int64(scanned+1))
+	th.S.Sleep(cost.QueueSearchPerItem * int64(len(sh.posted)+1))
 	return nil
 }
 

@@ -138,7 +138,7 @@ func (r *Request) OnComplete(th *Thread, fn func(r *Request, err error)) {
 		panic("mpi: OnComplete requires ProgressStrong or ProgressContinuation")
 	}
 	tel := th.telStart()
-	v := reqShard(r)
+	v := r.vci
 	th.stateBegin(v, simlock.High)
 	if r.freed {
 		th.stateEnd(v, simlock.High)
@@ -204,7 +204,7 @@ func (th *Thread) NewCompletionQueue() *CompletionQueue {
 // runtime frees the request at delivery; it must not be waited on.
 func (q *CompletionQueue) Add(r *Request) {
 	th := q.th
-	v := reqShard(r)
+	v := r.vci
 	th.stateBegin(v, simlock.High)
 	q.addLocked(r, th.S.Now())
 	th.stateEnd(v, simlock.High)
@@ -304,7 +304,7 @@ func (th *Thread) waitEvent(r *Request) error {
 	for {
 		th.checkCrashed()
 		seq := p.completeSeq
-		v := reqShard(r)
+		v := r.vci
 		th.stateBegin(v, simlock.High)
 		if r.complete {
 			if r.freed {
@@ -362,7 +362,7 @@ func (th *Thread) waitallCont(rs []*Request) error {
 	var buf [64]bool
 	mark := newShardSet(buf[:], len(p.vcis))
 	for _, r := range rs {
-		mark[reqShard(r)] = true
+		mark[r.vci] = true
 	}
 	for v := range mark {
 		if !mark[v] {
@@ -370,7 +370,7 @@ func (th *Thread) waitallCont(rs []*Request) error {
 		}
 		th.stateBegin(v, simlock.High)
 		for _, r := range rs {
-			if reqShard(r) == v {
+			if r.vci == v {
 				q.addLocked(r, th.S.Now())
 			}
 		}

@@ -6,7 +6,6 @@ import (
 
 	"mpicontend/internal/fault"
 	"mpicontend/internal/machine"
-	"mpicontend/internal/mpi/vci"
 	"mpicontend/internal/sim"
 	"mpicontend/internal/simlock"
 )
@@ -18,25 +17,36 @@ func withProgress(m ProgressMode) func(*Config) {
 
 // TestStrongProgressSendRecv: basic two-sided traffic completes under
 // strong progress — the daemons drive matching and completion while both
-// application threads block parked.
+// application threads block parked. The sharded run pins its two comms
+// to different shards, so two daemons of each proc carry traffic.
 func TestStrongProgressSendRecv(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		t.Run(fmt.Sprintf("vcis=%d", n), func(t *testing.T) {
-			w := testWorld(t, 2, withProgress(ProgressStrong), withVCIs(n, vci.PerTagHash))
-			c := w.Comm()
-			var got interface{}
+			w := testWorld(t, 2, withProgress(ProgressStrong), withVCIs(n))
+			comms := pinnedComms(w, 2)
+			span := shardSpan{}
+			got := make([]interface{}, len(comms))
 			w.Spawn(0, "sender", func(th *Thread) {
-				th.Send(c, 1, 7, 64, "hello")
+				for k, c := range comms {
+					if err := th.Wait(span.add(th.Isend(c, 1, 7, 64, k))); err != nil {
+						t.Errorf("send %d: %v", k, err)
+					}
+				}
 			})
 			w.Spawn(1, "receiver", func(th *Thread) {
-				got = th.Recv(c, 0, 7)
+				for k, c := range comms {
+					got[k] = th.Recv(c, 0, 7)
+				}
 			})
 			if err := w.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if got != "hello" {
-				t.Fatalf("got %v", got)
+			for k := range comms {
+				if got[k] != k {
+					t.Fatalf("comm %d: got %v", k, got[k])
+				}
 			}
+			span.require(t, min(n, 2))
 			if w.DanglingNow() != 0 {
 				t.Fatalf("dangling requests leaked: %d", w.DanglingNow())
 			}
@@ -69,13 +79,14 @@ func TestStrongProgressRendezvous(t *testing.T) {
 // reaps shard by shard; all payloads arrive across a sharded runtime.
 func TestStrongProgressWaitall(t *testing.T) {
 	const msgs = 8
-	w := testWorld(t, 2, withProgress(ProgressStrong), withVCIs(4, vci.PerTagHash))
-	c := w.Comm()
+	w := testWorld(t, 2, withProgress(ProgressStrong), withVCIs(4))
+	comms := pinnedComms(w, 4)
+	span := shardSpan{}
 	got := make(map[int]interface{})
 	w.Spawn(0, "sender", func(th *Thread) {
 		rs := make([]*Request, 0, msgs)
 		for tag := 0; tag < msgs; tag++ {
-			rs = append(rs, th.Isend(c, 1, tag, 64, tag*tag))
+			rs = append(rs, span.add(th.Isend(comms[tag%4], 1, tag, 64, tag*tag)))
 		}
 		if err := th.Waitall(rs); err != nil {
 			t.Errorf("sender waitall: %v", err)
@@ -84,7 +95,7 @@ func TestStrongProgressWaitall(t *testing.T) {
 	w.Spawn(1, "receiver", func(th *Thread) {
 		rs := make([]*Request, 0, msgs)
 		for tag := 0; tag < msgs; tag++ {
-			rs = append(rs, th.Irecv(c, 0, tag))
+			rs = append(rs, span.add(th.Irecv(comms[tag%4], 0, tag)))
 		}
 		if err := th.Waitall(rs); err != nil {
 			t.Errorf("receiver waitall: %v", err)
@@ -101,6 +112,7 @@ func TestStrongProgressWaitall(t *testing.T) {
 			t.Fatalf("tag %d: got %v, want %d", tag, got[tag], tag*tag)
 		}
 	}
+	span.require(t, 4)
 	if w.DanglingNow() != 0 {
 		t.Fatalf("dangling requests leaked: %d", w.DanglingNow())
 	}
@@ -113,13 +125,14 @@ func TestContinuationWaitall(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		t.Run(fmt.Sprintf("vcis=%d", n), func(t *testing.T) {
 			const msgs = 8
-			w := testWorld(t, 2, withProgress(ProgressContinuation), withVCIs(n, vci.PerTagHash))
-			c := w.Comm()
+			w := testWorld(t, 2, withProgress(ProgressContinuation), withVCIs(n))
+			comms := pinnedComms(w, n)
+			span := shardSpan{}
 			got := make(map[int]interface{})
 			w.Spawn(0, "sender", func(th *Thread) {
 				rs := make([]*Request, 0, msgs)
 				for tag := 0; tag < msgs; tag++ {
-					rs = append(rs, th.Isend(c, 1, tag, 64, fmt.Sprintf("m%d", tag)))
+					rs = append(rs, span.add(th.Isend(comms[tag%n], 1, tag, 64, fmt.Sprintf("m%d", tag))))
 				}
 				if err := th.Waitall(rs); err != nil {
 					t.Errorf("sender waitall: %v", err)
@@ -128,7 +141,7 @@ func TestContinuationWaitall(t *testing.T) {
 			w.Spawn(1, "receiver", func(th *Thread) {
 				rs := make([]*Request, 0, msgs)
 				for tag := 0; tag < msgs; tag++ {
-					rs = append(rs, th.Irecv(c, 0, tag))
+					rs = append(rs, span.add(th.Irecv(comms[tag%n], 0, tag)))
 				}
 				if err := th.Waitall(rs); err != nil {
 					t.Errorf("receiver waitall: %v", err)
@@ -145,6 +158,7 @@ func TestContinuationWaitall(t *testing.T) {
 					t.Fatalf("tag %d: got %v", tag, got[tag])
 				}
 			}
+			span.require(t, n)
 			if w.DanglingNow() != 0 {
 				t.Fatalf("dangling requests leaked: %d", w.DanglingNow())
 			}
@@ -399,12 +413,13 @@ func TestProgressModeDeterminism(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			run := func() int64 {
 				const msgs = 6
-				w := testWorld(t, 2, withProgress(m), withVCIs(4, vci.PerTagHash))
-				c := w.Comm()
+				w := testWorld(t, 2, withProgress(m), withVCIs(4))
+				comms := pinnedComms(w, 4)
+				span := shardSpan{}
 				w.Spawn(0, "sender", func(th *Thread) {
 					rs := make([]*Request, 0, msgs)
 					for tag := 0; tag < msgs; tag++ {
-						rs = append(rs, th.Isend(c, 1, tag, 256, tag))
+						rs = append(rs, span.add(th.Isend(comms[tag%4], 1, tag, 256, tag)))
 					}
 					if err := th.Waitall(rs); err != nil {
 						t.Errorf("waitall: %v", err)
@@ -413,7 +428,7 @@ func TestProgressModeDeterminism(t *testing.T) {
 				w.Spawn(1, "receiver", func(th *Thread) {
 					rs := make([]*Request, 0, msgs)
 					for tag := 0; tag < msgs; tag++ {
-						rs = append(rs, th.Irecv(c, 0, tag))
+						rs = append(rs, span.add(th.Irecv(comms[tag%4], 0, tag)))
 					}
 					if err := th.Waitall(rs); err != nil {
 						t.Errorf("waitall: %v", err)
@@ -422,6 +437,7 @@ func TestProgressModeDeterminism(t *testing.T) {
 				if err := w.Run(); err != nil {
 					t.Fatal(err)
 				}
+				span.require(t, 4)
 				return w.Eng.Now()
 			}
 			t1, t2 := run(), run()
@@ -439,10 +455,11 @@ func TestProgressModeDeterminism(t *testing.T) {
 // instant rather than staying parked until the run shuts down.
 func TestCrashWakesParkedWaiters(t *testing.T) {
 	const crashAt = 100_000
-	w := testWorld(t, 2, withProgress(ProgressContinuation), withVCIs(4, vci.PerTagHash),
+	w := testWorld(t, 2, withProgress(ProgressContinuation), withVCIs(4),
 		func(c *Config) { c.Fault = fault.Config{Crashes: []fault.CrashSpec{{Rank: 1, AtNs: crashAt}}} })
 	w.SetErrhandler(ErrorsReturn)
-	c := w.Comm()
+	comms := []*Comm{w.SetupComm().SetVCI(1), w.SetupComm().SetVCI(3)}
+	span := shardSpan{}
 	doneAt := map[string]sim.Time{}
 	w.Eng.OnThreadState = func(th *sim.Thread, s sim.ThreadState) {
 		if s.String() == "done" {
@@ -451,7 +468,9 @@ func TestCrashWakesParkedWaiters(t *testing.T) {
 	}
 	w.Spawn(1, "cqwaiter", func(th *Thread) {
 		q := th.NewCompletionQueue()
-		q.Add(th.Irecv(c, 0, 9)) // never sent
+		for _, c := range comms {
+			q.Add(span.add(th.Irecv(c, 0, 9))) // never sent
+		}
 		q.WaitAny()
 		t.Error("WaitAny returned on a crashed rank")
 	})
@@ -459,6 +478,7 @@ func TestCrashWakesParkedWaiters(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
+	span.require(t, 2)
 	waiters := []string{"cqwaiter[r1.t0]"}
 	for k := 1; k <= 4; k++ {
 		waiters = append(waiters, fmt.Sprintf("progressd[r1.t%d]", k))

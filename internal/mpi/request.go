@@ -80,14 +80,8 @@ type Request struct {
 	cq *CompletionQueue
 
 	// vci is the virtual communication interface the request lives on
-	// (always 0 in the unsharded runtime). A cross-VCI wildcard receive
-	// starts at -1 (posted on every shard) and is bound to the shard that
-	// matches it.
+	// from issue to free (always 0 in the unsharded runtime).
 	vci int
-	// wild marks a cross-VCI wildcard receive (irecvWild): the request is
-	// cross-posted to every shard's posted queue, and copies left on other
-	// shards after it matches are tombstones pruned during later scans.
-	wild bool
 	// part links the inner request of a partitioned epoch back to its
 	// persistent Prequest (partitioned.go); nil for ordinary requests.
 	// Partitioned receives live on vciShard.pposted, not posted.
@@ -181,20 +175,11 @@ func (r *Request) fail(code Errcode, at sim.Time) {
 	//simcheck:allow hotalloc error construction runs once per failed request, not per message
 	r.err = &Error{Code: code, Detail: r.describe()}
 	if r.kind == RecvReq {
-		p := r.p
-		switch {
-		case r.part != nil:
+		sh := r.p.vcis[r.vci]
+		if r.part != nil {
 			// Partitioned receives post on the partitioned queue.
-			sh := p.vcis[r.vci]
 			sh.pposted = withdraw(sh.pposted, r)
-		case r.wild && r.vci < 0:
-			// An unbound wildcard is cross-posted on every shard; withdraw
-			// all copies.
-			for _, sh := range p.vcis {
-				sh.posted = withdraw(sh.posted, r)
-			}
-		default:
-			sh := p.vcis[r.vci]
+		} else {
 			sh.posted = withdraw(sh.posted, r)
 		}
 	}
@@ -249,7 +234,7 @@ type envelope struct {
 }
 
 // matches reports whether the envelope satisfies a receive for (src, tag,
-// ctx) honouring wildcards.
+// ctx) honouring AnySource and AnyTag.
 func (e *envelope) matches(src, tag, ctx int) bool {
 	if e.ctx != ctx {
 		return false

@@ -203,7 +203,6 @@ func (rs *relState) onTimeout(rec *txRecord) {
 	if rec.attempts > rs.cfg.MaxRetries {
 		rs.GiveUps++
 		delete(rs.tx, txKey{rec.pkt.Dst, rec.pkt.VCI, rec.pkt.Seq})
-		rs.p.w.faultEvent("giveup", rs.p.Rank)
 		if rec.owner != nil {
 			rec.owner.fail(ErrRetryExhausted, rs.p.w.Eng.Now())
 		}
@@ -211,7 +210,6 @@ func (rs *relState) onTimeout(rec *txRecord) {
 	}
 	rs.Retransmits++
 	rs.p.w.retransmitsTotal++
-	rs.p.w.faultEvent("retransmit", rs.p.Rank)
 	rs.resend(rec)
 	rs.arm(rec)
 }
@@ -296,7 +294,6 @@ func (rs *relState) onNack(pkt *fabric.Packet) {
 	}
 	rs.FastRetransmits++
 	rs.p.w.retransmitsTotal++
-	rs.p.w.faultEvent("retransmit", rs.p.Rank)
 	if rec.timer != nil {
 		rec.timer.Cancel()
 	}
@@ -413,16 +410,7 @@ func (w *World) CheckClean() error {
 		posted, unexp, cq := 0, 0, 0
 		pposted, punexp := 0, 0
 		for _, sh := range p.vcis {
-			live := 0
-			for _, r := range sh.posted {
-				// A tombstone (a wildcard bound or completed elsewhere,
-				// awaiting lazy pruning) is not residue.
-				if r.wild && (r.complete || r.freed || (r.vci >= 0 && r.vci != sh.idx)) {
-					continue
-				}
-				live++
-			}
-			posted += live
+			posted += len(sh.posted)
 			unexp += len(sh.unexp)
 			cq += len(sh.cq)
 			pposted += len(sh.pposted)

@@ -1,12 +1,14 @@
-// Package vci is the communicator→VCI mapping policy layer for the
-// sharded runtime: pure, deterministic functions that pick which virtual
-// communication interface an operation lands on, given the communicator
-// context, tag and an optional explicit hint. Sender and receiver run the
-// same function over the same inputs, so a message and its matching
-// receive always meet on the same VCI without any coordination — the
-// property that makes independent per-VCI critical sections possible
-// (Zambre et al., "How I Learned to Stop Worrying About User-Visible
-// Endpoints and Love MPI").
+// Package vci is the communicator→VCI mapping of the sharded runtime: a
+// pure, deterministic function that picks which virtual communication
+// interface an operation lands on. A communicator pinned with an explicit
+// VCI (Comm.SetVCI, an MPICH-style comm info hint) uses that VCI; every
+// other communicator maps by a hash of its context id. Sender and receiver
+// evaluate the same function over the same communicator, so a message and
+// its matching receive always meet on the same VCI without any
+// coordination — the property that makes independent per-VCI critical
+// sections possible. One communicator per thread is the pattern Zambre et
+// al. ("How I Learned to Stop Worrying About User-Visible Endpoints and
+// Love MPI") show matches user-visible endpoints.
 //
 // The package holds no state and performs no simulation; it is part of
 // the deterministic core (docs/ARCHITECTURE.md).
@@ -14,22 +16,18 @@ package vci
 
 import "fmt"
 
-// Policy selects how operations are distributed over the VCIs of a proc.
+// Policy is a workload's communicator placement choice on the sharded
+// runtime (workloads.N2NParams.VCIPolicy). The runtime itself has one
+// mapping (Select); the policy only decides which communicators a
+// workload's threads use.
 type Policy int
 
 const (
-	// PerComm maps every operation of one communicator to one VCI (hash
-	// of the context id). Communicator-disjoint phases never contend, and
-	// wildcard receives stay trivially correct: all traffic of the comm
-	// is on a single VCI.
+	// PerComm runs every thread on one shared communicator, which its
+	// context hash places on a single VCI.
 	PerComm Policy = iota
-	// PerTagHash maps by (context, tag), spreading a single communicator
-	// over all VCIs when tags differ (e.g. one tag per thread). AnyTag
-	// receives can no longer name a single VCI and take the cross-VCI
-	// wildcard path.
-	PerTagHash
-	// Explicit uses the communicator's VCI hint (Comm.SetVCI); comms
-	// without a hint fall back to the PerComm hash.
+	// Explicit gives each thread its own setup-time communicator pinned
+	// to a VCI with Comm.SetVCI: a collision-free, balanced placement.
 	Explicit
 )
 
@@ -38,8 +36,6 @@ func (p Policy) String() string {
 	switch p {
 	case PerComm:
 		return "per-comm"
-	case PerTagHash:
-		return "per-tag-hash"
 	case Explicit:
 		return "explicit"
 	default:
@@ -47,78 +43,44 @@ func (p Policy) String() string {
 	}
 }
 
-// Config is the sharding configuration of one world: how many VCIs each
-// proc runs and how operations are mapped onto them.
-type Config struct {
-	// N is the number of VCIs per proc; 0 normalizes to 1 (one shard: the
-	// paper's global critical section).
-	N int
-	// Policy is the mapping policy.
-	Policy Policy
-}
+// MaxVCIs is the largest VCI count per proc a world accepts.
+const MaxVCIs = 1024
 
-// Normalize returns c with N clamped to at least 1.
-func (c Config) Normalize() Config {
-	if c.N < 1 {
-		c.N = 1
+// Validate rejects a VCI count outside [0, MaxVCIs]; 0 and 1 both select
+// one shard (the paper's global critical section).
+func Validate(n int) error {
+	if n < 0 {
+		return fmt.Errorf("vci: negative VCI count %d", n)
 	}
-	return c
-}
-
-// Validate rejects nonsensical configurations.
-func (c Config) Validate() error {
-	if c.N < 0 {
-		return fmt.Errorf("vci: negative VCI count %d", c.N)
+	if n > MaxVCIs {
+		return fmt.Errorf("vci: VCI count %d exceeds %d", n, MaxVCIs)
 	}
-	if c.N > 1024 {
-		return fmt.Errorf("vci: VCI count %d exceeds 1024", c.N)
-	}
-	switch c.Policy {
-	case PerComm, PerTagHash, Explicit:
-		return nil
-	default:
-		return fmt.Errorf("vci: unknown policy %d", int(c.Policy))
-	}
+	return nil
 }
 
 // NoHint marks a communicator without an explicit VCI assignment.
 const NoHint = -1
 
-// Select returns the VCI index in [0, n) for an operation on (ctx, tag)
-// under the given policy. hint is the communicator's explicit VCI (NoHint
-// when unset). Both sides of a match must call Select with identical
-// inputs — the mapping deliberately ignores source/destination ranks so
-// AnySource stays shardable; only AnyTag under PerTagHash is ambiguous
-// (see Wildcard).
-func Select(p Policy, ctx, tag, hint, n int) int {
+// Select returns the VCI index in [0, n) of an operation on a
+// communicator with context ctx and explicit VCI hint (NoHint when unset).
+// The mapping ignores ranks and tags, so AnySource and AnyTag receives
+// always name one VCI, and per-(source, communicator) message order is
+// kept inside one shard.
+func Select(ctx, hint, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	switch p {
-	case PerTagHash:
-		return int(mix(uint64(int64(ctx))*0x9e3779b97f4a7c15^uint64(int64(tag))) % uint64(n))
-	case Explicit:
-		if hint != NoHint {
-			if hint < 0 || hint >= n {
-				panic(fmt.Sprintf("vci: explicit hint %d out of range [0,%d)", hint, n))
-			}
-			return hint
+	if hint != NoHint {
+		if hint < 0 || hint >= n {
+			panic(fmt.Sprintf("vci: explicit hint %d out of range [0,%d)", hint, n))
 		}
-		fallthrough
-	default: // PerComm
-		return int(mix(uint64(int64(ctx))) % uint64(n))
+		return hint
 	}
-}
-
-// Wildcard reports whether a receive posted with the given tag cannot be
-// mapped to one VCI under the policy and must take the cross-VCI path.
-// anyTag is the runtime's AnyTag sentinel value for tag.
-func Wildcard(p Policy, tag, anyTag int) bool {
-	return p == PerTagHash && tag == anyTag
+	return int(mix(uint64(int64(ctx))) % uint64(n))
 }
 
 // mix is a 64-bit finalizer (splitmix64) giving a well-spread deterministic
-// hash for small, possibly negative, context and tag values.
+// hash for small, possibly negative, context values.
 func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -2,63 +2,44 @@ package vci
 
 import "testing"
 
-const anyTag = -1
-
 func TestSelectRange(t *testing.T) {
-	for _, p := range []Policy{PerComm, PerTagHash, Explicit} {
-		for _, n := range []int{1, 2, 3, 4, 16, 64} {
-			for ctx := -2_000_001; ctx <= 8; ctx += 500_000 {
-				for tag := -1; tag < 40; tag += 7 {
-					v := Select(p, ctx, tag, NoHint, n)
-					if v < 0 || v >= n {
-						t.Fatalf("Select(%v, ctx=%d, tag=%d, n=%d) = %d out of range",
-							p, ctx, tag, n, v)
-					}
-				}
+	for _, n := range []int{1, 2, 3, 4, 16, 64} {
+		for ctx := -2_000_001; ctx <= 8; ctx += 500_000 {
+			v := Select(ctx, NoHint, n)
+			if v < 0 || v >= n {
+				t.Fatalf("Select(ctx=%d, n=%d) = %d out of range", ctx, n, v)
 			}
 		}
 	}
 }
 
 func TestSelectDeterministic(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		a := Select(PerTagHash, 3, i, NoHint, 16)
-		b := Select(PerTagHash, 3, i, NoHint, 16)
+	for ctx := -50; ctx < 50; ctx++ {
+		a := Select(ctx, NoHint, 16)
+		b := Select(ctx, NoHint, 16)
 		if a != b {
-			t.Fatalf("tag %d: %d vs %d", i, a, b)
+			t.Fatalf("ctx %d: %d vs %d", ctx, a, b)
 		}
 	}
 }
 
-func TestPerCommIgnoresTag(t *testing.T) {
-	for tag := 0; tag < 50; tag++ {
-		if Select(PerComm, 7, tag, NoHint, 16) != Select(PerComm, 7, 0, NoHint, 16) {
-			t.Fatalf("per-comm mapping moved with tag %d", tag)
+// TestUnpinnedHashesContext pins the unpinned mapping to the splitmix64
+// hash of the context id: every figure's shard placement depends on these
+// exact values.
+func TestUnpinnedHashesContext(t *testing.T) {
+	want := map[int]int{0: 0, 1: 5, 2: 10, 3: 0, -2: 2, -1_000_000: 10}
+	for ctx, v := range want {
+		if got := Select(ctx, NoHint, 16); got != v {
+			t.Errorf("Select(ctx=%d, NoHint, 16) = %d, want %d", ctx, got, v)
 		}
-	}
-}
-
-func TestPerTagHashSpreads(t *testing.T) {
-	// 64 tags over 16 VCIs must hit a healthy majority of the shards —
-	// the whole point of the policy is that per-thread tags decontend.
-	seen := map[int]bool{}
-	for tag := 0; tag < 64; tag++ {
-		seen[Select(PerTagHash, 0, tag, NoHint, 16)] = true
-	}
-	if len(seen) < 12 {
-		t.Fatalf("64 tags landed on only %d/16 VCIs", len(seen))
 	}
 }
 
 func TestExplicitHint(t *testing.T) {
 	for hint := 0; hint < 8; hint++ {
-		if got := Select(Explicit, 3, 9, hint, 8); got != hint {
+		if got := Select(3, hint, 8); got != hint {
 			t.Fatalf("hint %d mapped to %d", hint, got)
 		}
-	}
-	// Without a hint the explicit policy degrades to per-comm.
-	if Select(Explicit, 3, 9, NoHint, 8) != Select(PerComm, 3, 9, NoHint, 8) {
-		t.Fatal("explicit without hint must fall back to per-comm")
 	}
 }
 
@@ -68,56 +49,32 @@ func TestExplicitHintOutOfRange(t *testing.T) {
 			t.Fatal("expected panic on out-of-range hint")
 		}
 	}()
-	Select(Explicit, 0, 0, 8, 8)
+	Select(0, 8, 8)
 }
 
 func TestSingleVCIAlwaysZero(t *testing.T) {
-	for _, p := range []Policy{PerComm, PerTagHash, Explicit} {
-		if Select(p, 123, 456, NoHint, 1) != 0 {
-			t.Fatalf("%v: n=1 must map to 0", p)
+	for _, hint := range []int{NoHint, 0, 5} {
+		if Select(123, hint, 1) != 0 {
+			t.Fatalf("hint %d: n=1 must map to 0", hint)
 		}
 	}
 }
 
-func TestWildcard(t *testing.T) {
-	if Wildcard(PerComm, anyTag, anyTag) {
-		t.Fatal("per-comm AnyTag is not a cross-VCI wildcard")
+func TestValidateCount(t *testing.T) {
+	for _, n := range []int{0, 1, 16, MaxVCIs} {
+		if err := Validate(n); err != nil {
+			t.Fatalf("Validate(%d): %v", n, err)
+		}
 	}
-	if Wildcard(Explicit, anyTag, anyTag) {
-		t.Fatal("explicit AnyTag is not a cross-VCI wildcard")
-	}
-	if !Wildcard(PerTagHash, anyTag, anyTag) {
-		t.Fatal("per-tag-hash AnyTag must be a cross-VCI wildcard")
-	}
-	if Wildcard(PerTagHash, 5, anyTag) {
-		t.Fatal("concrete tag is never a wildcard")
-	}
-}
-
-func TestNormalizeValidate(t *testing.T) {
-	if (Config{}).Normalize().N != 1 {
-		t.Fatal("zero config must normalize to one VCI")
-	}
-	if (Config{N: 4}).Normalize().N != 4 {
-		t.Fatal("normalize must keep explicit N")
-	}
-	if err := (Config{N: 16, Policy: PerTagHash}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Config{N: -1}).Validate(); err == nil {
-		t.Fatal("negative N must not validate")
-	}
-	if err := (Config{N: 2048}).Validate(); err == nil {
-		t.Fatal("absurd N must not validate")
-	}
-	if err := (Config{Policy: Policy(9)}).Validate(); err == nil {
-		t.Fatal("unknown policy must not validate")
+	for _, n := range []int{-1, MaxVCIs + 1, 2048} {
+		if err := Validate(n); err == nil {
+			t.Fatalf("Validate(%d) accepted an illegal count", n)
+		}
 	}
 }
 
 func TestPolicyStrings(t *testing.T) {
-	want := map[Policy]string{PerComm: "per-comm", PerTagHash: "per-tag-hash",
-		Explicit: "explicit", Policy(9): "Policy(9)"}
+	want := map[Policy]string{PerComm: "per-comm", Explicit: "explicit", Policy(9): "Policy(9)"}
 	for p, s := range want {
 		if p.String() != s {
 			t.Fatalf("Policy(%d).String() = %q, want %q", int(p), p.String(), s)
@@ -131,7 +88,7 @@ func TestPolicyStrings(t *testing.T) {
 func TestNegativeCtxShadows(t *testing.T) {
 	seen := map[int]bool{}
 	for c := 0; c < 32; c++ {
-		seen[Select(PerComm, -1_000_000-c, 0, NoHint, 16)] = true
+		seen[Select(-1_000_000-c, NoHint, 16)] = true
 	}
 	if len(seen) < 8 {
 		t.Fatalf("recovery contexts landed on only %d/16 VCIs", len(seen))

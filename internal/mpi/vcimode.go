@@ -4,10 +4,11 @@ package mpi
 // virtual communication interface's matching queues, completion queue,
 // request pool and critical-section lock, and the few places where one
 // shard and many shards model genuinely different runtimes — each kept
-// once, as a commented condition: the cross-VCI wildcard path
-// (vciWildcard), the shared-NIC injection lock (sendShard), driver-level
-// revocation (Proc.onPacket) and the wait family's pre-poll completion
-// check (lockedCheck/checkDone). Everything else is one shard-indexed
+// once, as a commented condition: the shared-NIC injection lock
+// (sendShard), driver-level revocation (Proc.onPacket) and the wait
+// family's pre-poll completion check (lockedCheck/checkDone). Every
+// operation names exactly one shard (selectVCI), so a request lives on
+// one shard from issue to free. Everything else is one shard-indexed
 // code path; a one-VCI proc is the paper's global critical section as
 // shard 0. The section primitives themselves live in granularity.go.
 
@@ -24,7 +25,6 @@ import (
 // remaining arbitration between them is the shared-NIC injection lock
 // (Proc.nicVCI) and the physical NIC serialization in the fabric.
 type vciShard struct {
-	idx    int
 	cs     csLock
 	posted []*Request       // posted receive queue
 	unexp  []*envelope      // unexpected message queue
@@ -43,18 +43,10 @@ type vciShard struct {
 	reqFree *Request
 }
 
-// selectVCI maps an operation on (comm, tag) to its shard.
-func (p *Proc) selectVCI(c *Comm, tag int) int {
-	return vci.Select(p.w.Cfg.VCIPolicy, c.ctx, tag, c.vciHint(), len(p.vcis))
-}
-
-// vciWildcard reports whether a receive with the given tag cannot be
-// mapped to one shard and must take the cross-VCI path. With one shard
-// every tag maps to it, so the wildcard path (which owns every shard's
-// section under GranGlobal) never runs and the receive keeps the
-// granularity's ordinary main-path section.
-func (p *Proc) vciWildcard(tag int) bool {
-	return len(p.vcis) > 1 && vci.Wildcard(p.w.Cfg.VCIPolicy, tag, AnyTag)
+// selectVCI maps an operation on comm c to its shard: the comm's SetVCI
+// pin when it has one, else the hash of its context id.
+func (p *Proc) selectVCI(c *Comm) int {
+	return vci.Select(c.ctx, c.vciHint(), len(p.vcis))
 }
 
 // allocReq returns a zeroed request from shard v's pool.
@@ -132,16 +124,6 @@ func (p *Proc) consumeRevoke(pkt *fabric.Packet) {
 	}
 }
 
-// reqShard returns the state-section shard of a request: its own VCI, or
-// shard 0 for a request that completed without ever binding to a shard
-// (fault paths can fail an unbound wildcard while it is still cross-posted).
-func reqShard(r *Request) int {
-	if r.vci < 0 {
-		return 0
-	}
-	return r.vci
-}
-
 // lockedCheck reports whether the wait family's pre-poll completion check
 // enters a state section before looking. The one-shard polling runtime
 // does — completed or not, the check is one more acquisition of the
@@ -179,7 +161,7 @@ func (th *Thread) checkDone(rs []*Request, locked bool, fn func(i int, r *Reques
 	done := newShardSet(shardBuf[:], len(th.P.vcis))
 	for i, r := range rs {
 		if r != nil && r.complete && !r.freed {
-			done[reqShard(r)] = true
+			done[r.vci] = true
 			snaps = append(snaps, snap{i, r})
 		}
 	}
@@ -190,7 +172,7 @@ func (th *Thread) checkDone(rs []*Request, locked bool, fn func(i int, r *Reques
 		more := true
 		th.stateBegin(v, simlock.High)
 		for _, s := range snaps {
-			if reqShard(s.r) == v && s.r.complete && !s.r.freed {
+			if s.r.vci == v && s.r.complete && !s.r.freed {
 				if more = fn(s.i, s.r); !more {
 					break
 				}
@@ -239,10 +221,9 @@ func newShardSet(buf []bool, n int) shardSet {
 	return buf[:n]
 }
 
-// gather marks the shards of the still-pending requests; an unbound
-// wildcard (vci < 0) marks every shard. With no request pending it marks
-// shard 0, so the caller still polls once (a request failed by a timer
-// between rounds is reaped there).
+// gather marks the shards of the still-pending requests. With no request
+// pending it marks shard 0, so the caller still polls once (a request
+// failed by a timer between rounds is reaped there).
 func (s shardSet) gather(rs []*Request) {
 	for i := range s {
 		s[i] = false
@@ -253,12 +234,6 @@ func (s shardSet) gather(rs []*Request) {
 			continue
 		}
 		any = true
-		if r.vci < 0 {
-			for i := range s {
-				s[i] = true
-			}
-			return
-		}
 		s[r.vci] = true
 	}
 	if !any {

@@ -11,21 +11,46 @@ import (
 )
 
 // withVCIs is a testWorld option enabling the sharded runtime.
-func withVCIs(n int, pol vci.Policy) func(*Config) {
-	return func(c *Config) {
-		c.VCIs = n
-		c.VCIPolicy = pol
+func withVCIs(n int) func(*Config) {
+	return func(c *Config) { c.VCIs = n }
+}
+
+// pinnedComms returns k setup communicators pinned round-robin to the
+// world's VCIs: comm i carries its traffic on shard i % VCIs.
+func pinnedComms(w *World, k int) []*Comm {
+	cs := make([]*Comm, k)
+	for i := range cs {
+		cs[i] = w.SetupComm().SetVCI(i % w.Cfg.VCIs)
+	}
+	return cs
+}
+
+// shardSpan records the shards a test's requests were issued on, so a
+// sharded test can prove its traffic really spans several shards.
+type shardSpan map[int]bool
+
+// add records r's shard and returns r.
+func (s shardSpan) add(r *Request) *Request {
+	s[r.vci] = true
+	return r
+}
+
+// require fails the test unless at least min distinct shards were used.
+func (s shardSpan) require(t *testing.T, min int) {
+	t.Helper()
+	if len(s) < min {
+		t.Errorf("traffic spanned %d shards %v, want at least %d", len(s), s, min)
 	}
 }
 
-// TestVCIPerCommMapping: under the per-comm policy every operation of one
-// communicator lands on one shard regardless of tag, the shard the policy
-// function names; a second communicator (different context) maps
-// independently. The receive side must agree with the send side, or
-// matching would silently fall apart.
+// TestVCIPerCommMapping: every operation of an unpinned communicator
+// lands on one shard regardless of tag, the shard its context hash names;
+// a second communicator (different context) maps independently. The
+// receive side must agree with the send side, or matching would silently
+// fall apart.
 func TestVCIPerCommMapping(t *testing.T) {
 	const n = 4
-	w := testWorld(t, 2, withVCIs(n, vci.PerComm))
+	w := testWorld(t, 2, withVCIs(n))
 	c := w.Comm()
 	d := w.SetupComm()
 	tags := []int{0, 1, 7, 19, 31}
@@ -60,7 +85,7 @@ func TestVCIPerCommMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cm := range []*Comm{c, d} {
-		want := vci.Select(vci.PerComm, cm.ctx, 0, vci.NoHint, n)
+		want := vci.Select(cm.ctx, vci.NoHint, n)
 		for _, tag := range tags {
 			for _, side := range []string{"send", "recv"} {
 				key := fmt.Sprintf("%s ctx=%d tag=%d", side, cm.ctx, tag)
@@ -75,61 +100,13 @@ func TestVCIPerCommMapping(t *testing.T) {
 	}
 }
 
-// TestVCIPerTagHashMapping: the per-tag-hash policy spreads one
-// communicator's tags across shards (the figure-level decontention
-// mechanism), with the send and receive sides computing the same mapping.
-func TestVCIPerTagHashMapping(t *testing.T) {
-	const n, tags = 16, 32
-	w := testWorld(t, 2, withVCIs(n, vci.PerTagHash))
-	c := w.Comm()
-	sendVCI := make([]int, tags)
-	recvVCI := make([]int, tags)
-	w.Spawn(0, "sender", func(th *Thread) {
-		var rs []*Request
-		for tag := 0; tag < tags; tag++ {
-			r := th.Isend(c, 1, tag, 64, tag)
-			sendVCI[tag] = r.vci
-			rs = append(rs, r)
-		}
-		if err := th.Waitall(rs); err != nil {
-			t.Errorf("waitall: %v", err)
-		}
-	})
-	w.Spawn(1, "receiver", func(th *Thread) {
-		var rs []*Request
-		for tag := 0; tag < tags; tag++ {
-			r := th.Irecv(c, 0, tag)
-			recvVCI[tag] = r.vci
-			rs = append(rs, r)
-		}
-		if err := th.Waitall(rs); err != nil {
-			t.Errorf("waitall: %v", err)
-		}
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for tag := 0; tag < tags; tag++ {
-		want := vci.Select(vci.PerTagHash, c.ctx, tag, vci.NoHint, n)
-		if sendVCI[tag] != want || recvVCI[tag] != want {
-			t.Errorf("tag %d: send shard %d, recv shard %d, want %d",
-				tag, sendVCI[tag], recvVCI[tag], want)
-		}
-		seen[sendVCI[tag]] = true
-	}
-	if len(seen) < 8 {
-		t.Errorf("%d tags landed on only %d/%d shards", tags, len(seen), n)
-	}
-}
-
 // TestVCIExplicitMapping: explicitly placed communicators (setup-time dup
 // + SetVCI) pin their traffic to the named shard — the collision-free
 // per-thread pattern the VCI literature recommends — while unpinned comms
-// fall back to the per-comm hash.
+// fall back to the context hash.
 func TestVCIExplicitMapping(t *testing.T) {
 	const n = 4
-	w := testWorld(t, 2, withVCIs(n, vci.Explicit))
+	w := testWorld(t, 2, withVCIs(n))
 	comms := make([]*Comm, n)
 	for k := range comms {
 		comms[k] = w.SetupComm().SetVCI(k)
@@ -169,8 +146,8 @@ func TestVCIExplicitMapping(t *testing.T) {
 			t.Errorf("comm %d delivered %v, want %d", k, got[k], 100+k)
 		}
 	}
-	if want := vci.Select(vci.Explicit, plain.ctx, 5, vci.NoHint, n); plainVCI != want {
-		t.Errorf("unpinned comm posted on shard %d, want per-comm fallback %d",
+	if want := vci.Select(plain.ctx, vci.NoHint, n); plainVCI != want {
+		t.Errorf("unpinned comm posted on shard %d, want context-hash fallback %d",
 			plainVCI, want)
 	}
 }
@@ -183,7 +160,7 @@ func TestVCIExplicitMapping(t *testing.T) {
 func TestTestallFreesUnderOwnShard(t *testing.T) {
 	const n = 4
 	rec := telemetry.New()
-	w := testWorld(t, 2, withVCIs(n, vci.Explicit), func(c *Config) { c.Tel = rec })
+	w := testWorld(t, 2, withVCIs(n), func(c *Config) { c.Tel = rec })
 	c1 := w.SetupComm().SetVCI(1)
 	c3 := w.SetupComm().SetVCI(3)
 	var from, to int64
@@ -235,48 +212,13 @@ func TestTestallFreesUnderOwnShard(t *testing.T) {
 	}
 }
 
-// TestVCIWildcardRecvAcrossShards: under the tag-hashed mapping an AnyTag
-// receive cannot name one shard; the cross-VCI wildcard path must still
-// deliver every message exactly once, in arrival order, regardless of
-// which shard the sender's tag hashed to.
-func TestVCIWildcardRecvAcrossShards(t *testing.T) {
-	const n, msgs = 8, 12
-	w := testWorld(t, 2, withVCIs(n, vci.PerTagHash))
-	c := w.Comm()
-	var order []interface{}
-	w.Spawn(0, "sender", func(th *Thread) {
-		for i := 0; i < msgs; i++ {
-			// Spaced sends: arrival order is the send order, so the
-			// wildcard's earliest-arrival scan has one right answer.
-			th.Send(c, 1, i*3, 64, i)
-			th.S.Sleep(50_000)
-		}
-	})
-	w.Spawn(1, "receiver", func(th *Thread) {
-		for i := 0; i < msgs; i++ {
-			order = append(order, th.Recv(c, 0, AnyTag))
-		}
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("wildcard recv order broken: got %v", order)
-		}
-	}
-	if w.DanglingNow() != 0 {
-		t.Fatalf("dangling requests leaked: %d", w.DanglingNow())
-	}
-}
-
 // TestVCIOrderingWithinShard: MPI non-overtaking order holds per
 // (comm, src, tag) — which the sharded runtime maps entirely inside one
 // VCI — even with many back-to-back sends in flight, and independently on
 // each explicitly placed communicator.
 func TestVCIOrderingWithinShard(t *testing.T) {
 	const n, msgs = 4, 40
-	w := testWorld(t, 2, withVCIs(n, vci.Explicit))
+	w := testWorld(t, 2, withVCIs(n))
 	a := w.SetupComm().SetVCI(1)
 	b := w.SetupComm().SetVCI(3)
 	var gotA, gotB []interface{}
@@ -315,6 +257,69 @@ func TestVCIOrderingWithinShard(t *testing.T) {
 	}
 }
 
+// TestVCIAnyTagNonOvertaking: messages from one source on one pinned
+// communicator keep their send order even when every receive is posted
+// with AnyTag and the tags differ — the per-(source, communicator) order
+// the VCI mapping must keep (Zambre et al.). The first round posts the
+// receives before the messages arrive (posted-queue matching); the second
+// posts them after the messages have landed, so most match from the
+// unexpected queue.
+func TestVCIAnyTagNonOvertaking(t *testing.T) {
+	const n, msgs = 4, 24
+	w := testWorld(t, 2, withVCIs(n))
+	c := w.SetupComm().SetVCI(2)
+	span := shardSpan{}
+	var posted, late []interface{}
+	w.Spawn(0, "sender", func(th *Thread) {
+		th.Recv(c, 1, 0) // the receiver has posted its first round
+		for round := 0; round < 2; round++ {
+			rs := make([]*Request, msgs)
+			for i := range rs {
+				rs[i] = span.add(th.Isend(c, 1, 100+msgs*round+i, 64, i))
+			}
+			if err := th.Waitall(rs); err != nil {
+				t.Errorf("round %d waitall: %v", round, err)
+			}
+		}
+	})
+	w.Spawn(1, "receiver", func(th *Thread) {
+		rs := make([]*Request, msgs)
+		for i := range rs {
+			rs[i] = span.add(th.Irecv(c, AnySource, AnyTag))
+		}
+		th.Send(c, 0, 0, 8, nil)
+		if err := th.Waitall(append([]*Request(nil), rs...)); err != nil {
+			t.Errorf("waitall: %v", err)
+		}
+		for _, r := range rs {
+			posted = append(posted, r.Data())
+		}
+		th.S.Sleep(1_000_000) // the second round lands unexpected
+		for i := 0; i < msgs; i++ {
+			late = append(late, th.Recv(c, 0, AnyTag))
+		}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for round, got := range [][]interface{}{posted, late} {
+		if len(got) != msgs {
+			t.Fatalf("round %d delivered %d messages, want %d", round, len(got), msgs)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("round %d: AnyTag receive %d got message %v: %v", round, i, v, got)
+			}
+		}
+	}
+	if len(span) != 1 || !span[2] {
+		t.Errorf("traffic ran on shards %v, want only the pinned shard 2", span)
+	}
+	if w.Procs[1].UnexpectedHits == 0 {
+		t.Error("no receive matched from the unexpected queue")
+	}
+}
+
 // TestVCICrashBlackholesAllShards: the rank-failure regression for the
 // sharded runtime. A crashed rank's traffic spans several VCIs (one
 // explicitly placed comm per stream); the fault plane must blackhole the
@@ -323,7 +328,7 @@ func TestVCIOrderingWithinShard(t *testing.T) {
 // the survivors.
 func TestVCICrashBlackholesAllShards(t *testing.T) {
 	const n = 4
-	w := testWorld(t, 3, withVCIs(n, vci.Explicit),
+	w := testWorld(t, 3, withVCIs(n),
 		func(c *Config) { c.Fault = fault.Config{Crashes: []fault.CrashSpec{{Rank: 2, AtNs: 100_000}}} })
 	w.SetErrhandler(ErrorsReturn)
 	c := w.Comm()
@@ -399,14 +404,15 @@ func TestVCICrashBlackholesAllShards(t *testing.T) {
 	}
 }
 
-// TestPartitionedWildcardVCIDeterministic: an AnySource Precv in the
-// sharded runtime adopts whichever matching epoch lands first, and that
-// choice must be a pure function of the simulation seed — two identical
-// runs bind wildcard receives to senders in exactly the same order.
+// TestPartitionedWildcardVCIDeterministic: an AnySource Precv on a
+// non-zero shard of the sharded runtime adopts whichever matching epoch
+// lands first, and that choice must be a pure function of the simulation
+// seed — two identical runs bind wildcard receives to senders in exactly
+// the same order.
 func TestPartitionedWildcardVCIDeterministic(t *testing.T) {
 	run := func() []interface{} {
-		w := testWorld(t, 3, withVCIs(4, vci.PerTagHash))
-		c := w.Comm()
+		w := testWorld(t, 3, withVCIs(4))
+		c := w.SetupComm().SetVCI(2)
 		const parts = 4
 		const tag = 6
 		for src := 0; src < 2; src++ {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mpicontend/internal/machine"
-	"mpicontend/internal/mpi/vci"
 	"mpicontend/internal/simlock"
 )
 
@@ -18,13 +17,19 @@ type waitFamilyCase struct {
 	// comms builds the data communicators (message i travels on comm
 	// i%len); called during world setup.
 	comms func(w *World) []*Comm
-	// recvTag is the tag receives are posted with for a message sent
-	// with tag: the tag itself, or AnyTag for the wildcard path.
-	recvTag func(tag int) int
+	// wild posts receives and probes with AnySource and AnyTag instead of
+	// the sender's rank and the message's tag.
+	wild bool
 }
 
-func exactTag(tag int) int { return tag }
-func anyTag(int) int       { return AnyTag }
+// match returns the (source, tag) a receive or probe for a message sent
+// by rank 0 with tag is posted with.
+func (tc waitFamilyCase) match(tag int) (int, int) {
+	if tc.wild {
+		return AnySource, AnyTag
+	}
+	return 0, tag
+}
 
 func withGranularity(g Granularity) func(*Config) {
 	return func(c *Config) { c.Granularity = g }
@@ -34,32 +39,30 @@ func waitFamilyCases() []waitFamilyCase {
 	var cases []waitFamilyCase
 	for _, g := range allGrans {
 		cases = append(cases, waitFamilyCase{
-			name:    fmt.Sprintf("vcis1/%v", g),
-			opts:    []func(*Config){withGranularity(g)},
-			comms:   func(w *World) []*Comm { return []*Comm{w.Comm(), w.SetupComm()} },
-			recvTag: exactTag,
+			name:  fmt.Sprintf("vcis1/%v", g),
+			opts:  []func(*Config){withGranularity(g)},
+			comms: func(w *World) []*Comm { return []*Comm{w.Comm(), w.SetupComm()} },
 		})
+	}
+	pinned := func(w *World) []*Comm {
+		return []*Comm{w.SetupComm().SetVCI(1), w.SetupComm().SetVCI(3), w.SetupComm().SetVCI(0)}
 	}
 	return append(cases,
 		waitFamilyCase{
-			name:    "vcis4/PerComm",
-			opts:    []func(*Config){withVCIs(4, vci.PerComm)},
-			comms:   func(w *World) []*Comm { return []*Comm{w.Comm(), w.SetupComm(), w.SetupComm()} },
-			recvTag: exactTag,
+			name:  "vcis4/PerComm",
+			opts:  []func(*Config){withVCIs(4)},
+			comms: func(w *World) []*Comm { return []*Comm{w.Comm(), w.SetupComm(), w.SetupComm()} },
 		},
 		waitFamilyCase{
-			name: "vcis4/Explicit",
-			opts: []func(*Config){withVCIs(4, vci.Explicit)},
-			comms: func(w *World) []*Comm {
-				return []*Comm{w.SetupComm().SetVCI(1), w.SetupComm().SetVCI(3), w.SetupComm().SetVCI(0)}
-			},
-			recvTag: exactTag,
+			name:  "vcis4/Explicit",
+			opts:  []func(*Config){withVCIs(4)},
+			comms: pinned,
 		},
 		waitFamilyCase{
-			name:    "vcis4/PerTagHash/AnyTag",
-			opts:    []func(*Config){withVCIs(4, vci.PerTagHash)},
-			comms:   func(w *World) []*Comm { return []*Comm{w.Comm()} },
-			recvTag: anyTag,
+			name:  "vcis4/Explicit/AnyTag",
+			opts:  []func(*Config){withVCIs(4)},
+			comms: pinned,
+			wild:  true,
 		},
 	)
 }
@@ -69,8 +72,8 @@ var waitFamilyPhases = []string{"Wait", "Waitall", "Test", "Testall", "Waitany",
 
 // TestWaitFamilyAcrossConfigs drives every wait/test/probe/cancel call of
 // the receive side under one-shard runtimes of each granularity and under
-// sharded runtimes with per-comm, explicit and tag-hashed (wildcard)
-// mappings. Each phase: the receiver signals readiness on a control comm,
+// sharded runtimes with unpinned and pinned comms, the latter also with
+// AnySource/AnyTag receives. Each phase: the receiver signals readiness on a control comm,
 // the sender ships three messages spread over the data comms, and the
 // receiver completes them with the call under test. Payloads must arrive
 // intact, every request must be freed exactly once, and the world must end
@@ -83,6 +86,7 @@ func TestWaitFamilyAcrossConfigs(t *testing.T) {
 			w := testWorld(t, 2, tc.opts...)
 			ctrl := w.SetupComm()
 			cancelled := false
+			span := shardSpan{}
 			comms := tc.comms(w)
 			tagOf := func(phase, i int) int { return 100 + 10*phase + i }
 			commOf := func(i int) *Comm { return comms[i%len(comms)] }
@@ -105,8 +109,8 @@ func TestWaitFamilyAcrossConfigs(t *testing.T) {
 			w.Spawn(1, "receiver", func(th *Thread) {
 				freedBy := map[*Request]int{}
 				// check verifies a completed receive of phase ph, message i
-				// (or, under AnyTag, some message of the phase) and counts
-				// the call that freed it.
+				// (or, for a wild case, some message of the phase) and
+				// counts the call that freed it.
 				got := map[string]int{}
 				check := func(ph, i int, r *Request) {
 					if !r.Freed() || !r.Complete() {
@@ -115,7 +119,7 @@ func TestWaitFamilyAcrossConfigs(t *testing.T) {
 					freedBy[r]++
 					s, _ := r.Data().(string)
 					got[s]++
-					if tc.recvTag(0) != AnyTag {
+					if !tc.wild {
 						if want := payloadOf(tagOf(ph, i)); s != want {
 							t.Errorf("phase %s: payload %q, want %q", waitFamilyPhases[ph], s, want)
 						}
@@ -124,7 +128,8 @@ func TestWaitFamilyAcrossConfigs(t *testing.T) {
 				post := func(ph int) []*Request {
 					rs := make([]*Request, perPhase)
 					for i := range rs {
-						rs[i] = th.Irecv(commOf(i), 0, tc.recvTag(tagOf(ph, i)))
+						src, tag := tc.match(tagOf(ph, i))
+						rs[i] = span.add(th.Irecv(commOf(i), src, tag))
 					}
 					return rs
 				}
@@ -203,9 +208,10 @@ func TestWaitFamilyAcrossConfigs(t *testing.T) {
 							check(ph, i, r)
 						}
 					case "Probe":
-						// Blocking probe with the case's receive tag, then a
-						// non-wildcard Iprobe loop for a specific message.
-						st := th.Probe(commOf(0), 0, tc.recvTag(tagOf(ph, 0)))
+						// Blocking probe with the case's source and tag, then
+						// a non-wildcard Iprobe loop for a specific message.
+						src, tag := tc.match(tagOf(ph, 0))
+						st := th.Probe(commOf(0), src, tag)
 						if st.Source != 0 || st.Bytes != 64 {
 							t.Errorf("probe status %+v", st)
 						}
@@ -241,9 +247,9 @@ func TestWaitFamilyAcrossConfigs(t *testing.T) {
 						}
 					}
 				}
-				// CancelRecv of a receive nothing will ever match (under
-				// AnyTag: an unbound cross-posted wildcard).
-				r := th.Irecv(commOf(0), 0, tc.recvTag(9999))
+				// CancelRecv of a receive nothing will ever match.
+				src, tag := tc.match(9999)
+				r := th.Irecv(commOf(0), src, tag)
 				th.CancelRecv(r)
 				if !r.Freed() || r.Complete() {
 					t.Errorf("cancelled receive: freed=%v complete=%v", r.Freed(), r.Complete())
@@ -283,6 +289,7 @@ func TestWaitFamilyAcrossConfigs(t *testing.T) {
 			if !cancelled {
 				t.Fatal("receiver did not reach the end of its program")
 			}
+			span.require(t, min(w.Cfg.VCIs, 2))
 			for _, p := range w.Procs {
 				if p.Outstanding() != 0 {
 					t.Errorf("rank %d: %d requests outstanding", p.Rank, p.Outstanding())
@@ -307,7 +314,7 @@ func TestConfigLegality(t *testing.T) {
 		"no-topology":       {},
 		"ppn-exceeds-cores": {Topo: machine.Nehalem2x4(2), ProcsPerNode: 9},
 		"negative-vcis":     {Topo: machine.Nehalem2x4(2), VCIs: -1},
-		"unknown-policy":    {Topo: machine.Nehalem2x4(2), VCIs: 2, VCIPolicy: vci.Policy(99)},
+		"too-many-vcis":     {Topo: machine.Nehalem2x4(2), VCIs: 2048},
 	} {
 		if _, err := NewWorld(cfg); !errors.Is(err, ErrIllegalConfig) {
 			t.Errorf("%s: NewWorld = %v, want ErrIllegalConfig", name, err)
@@ -328,10 +335,6 @@ func TestConfigLegality(t *testing.T) {
 						VCIs:        n,
 						Progress:    m,
 						ThreadLevel: lvl,
-						MaxEvents:   5_000_000,
-					}
-					if n > 1 {
-						cfg.VCIPolicy = vci.PerComm
 					}
 					needsShardGlobal := n > 1 || m != ProgressPolling
 					wantErr := needsShardGlobal && (g != GranGlobal || lvl != ThreadMultiple)
@@ -346,6 +349,7 @@ func TestConfigLegality(t *testing.T) {
 						t.Errorf("%s: NewWorld: %v", name, err)
 						continue
 					}
+					w.Eng.MaxEvents = 5_000_000 // a hang fails fast
 					c := w.Comm()
 					var got interface{}
 					w.Spawn(0, "ping", func(th *Thread) {
@@ -374,21 +378,24 @@ func TestConfigLegality(t *testing.T) {
 // TestWaitanyWaitsomeInactive: freed and nil requests are inactive, like
 // MPI_REQUEST_NULL. Waitany skips them and returns -1 (MPI_UNDEFINED)
 // once no request is active; Waitsome returns nil instead of spinning.
-// Runs on the one-shard and the sharded runtime.
+// Runs on the one-shard runtime and on a sharded one whose two pinned
+// comms put the requests on different shards.
 func TestWaitanyWaitsomeInactive(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		n := n
 		t.Run(fmt.Sprintf("vcis%d", n), func(t *testing.T) {
-			w := testWorld(t, 2, withVCIs(n, vci.PerTagHash))
-			c := w.Comm()
+			w := testWorld(t, 2, withVCIs(n))
+			comms := pinnedComms(w, 2)
+			span := shardSpan{}
 			done := false
 			w.Spawn(0, "s", func(th *Thread) {
 				for tag := 0; tag < 4; tag++ {
-					th.Send(c, 1, tag, 8, tag)
+					th.Send(comms[tag%2], 1, tag, 8, tag)
 				}
 			})
 			w.Spawn(1, "r", func(th *Thread) {
-				rs := []*Request{th.Irecv(c, 0, 0), nil, th.Irecv(c, 0, 1)}
+				recv := func(tag int) *Request { return span.add(th.Irecv(comms[tag%2], 0, tag)) }
+				rs := []*Request{recv(0), nil, recv(1)}
 				seen := map[int]bool{}
 				for k := 0; k < 2; k++ {
 					// The slice is passed unchanged: the request freed by
@@ -407,7 +414,7 @@ func TestWaitanyWaitsomeInactive(t *testing.T) {
 					t.Errorf("Waitany over no requests returned %d, want -1", i)
 				}
 
-				rs = []*Request{th.Irecv(c, 0, 2), nil, th.Irecv(c, 0, 3)}
+				rs = []*Request{recv(2), nil, recv(3)}
 				got := 0
 				for got < 2 {
 					idxs := th.Waitsome(rs)
@@ -429,6 +436,7 @@ func TestWaitanyWaitsomeInactive(t *testing.T) {
 			if !done {
 				t.Fatal("receiver did not finish")
 			}
+			span.require(t, min(n, 2))
 			if w.DanglingNow() != 0 || w.Procs[1].Outstanding() != 0 {
 				t.Fatalf("dangling %d, outstanding %d", w.DanglingNow(), w.Procs[1].Outstanding())
 			}

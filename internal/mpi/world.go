@@ -37,13 +37,18 @@ import (
 	"mpicontend/internal/telemetry"
 )
 
-// Wildcards for receive matching.
+// Match-any values for a receive's source and tag.
 const (
 	// AnySource matches messages from every rank.
 	AnySource = -1
 	// AnyTag matches every tag.
 	AnyTag = -1
 )
+
+// maxEvents aborts a simulation with an error after this many events — a
+// guard that turns protocol deadlocks (which would spin in virtual time
+// forever) into diagnosable failures.
+const maxEvents = 500_000_000
 
 // collCtx is the communication context reserved for internal collectives,
 // disjoint from every user communicator context (which are >= 0).
@@ -71,11 +76,6 @@ type Config struct {
 	ProcsPerNode int
 	// Seed drives all randomness (CAS jitter etc.).
 	Seed uint64
-	// MaxEvents aborts the simulation with an error after this many
-	// events — a guard that turns protocol deadlocks (which would spin
-	// in virtual time forever) into diagnosable failures. Zero selects a
-	// generous default.
-	MaxEvents uint64
 	// SelectiveWakeup enables the paper's §9 future-work design: threads
 	// blocked in the progress loop park after an empty poll and are woken
 	// by events (message arrival, request completion) instead of
@@ -91,21 +91,16 @@ type Config struct {
 	// wall time (see sim.Engine.MaxWall); zero means no limit. Chaos
 	// soaks set it so a runaway scenario cannot hang CI.
 	MaxWall int64
-	// OnFaultEvent, when set, observes resilience events ("retransmit",
-	// "giveup", "preempt") at their virtual time on the given rank —
-	// used to pin marks onto lock-ownership timelines.
-	OnFaultEvent func(event string, at int64, rank int)
 	// VCIs is the number of virtual communication interfaces per process:
 	// independent runtime shards (matching queues, completion queue,
 	// request pool, transport flows), each with its own critical-section
 	// lock of the configured Kind. 0 or 1 selects one shard, whose lock is
 	// the paper's global critical section. More than one VCI requires
 	// GranGlobal (sub-CS granularities and sharding answer the same
-	// question at different layers and do not compose).
+	// question at different layers and do not compose). An operation
+	// lands on its communicator's SetVCI pin, else on the hash of the
+	// communicator's context id (internal/mpi/vci).
 	VCIs int
-	// VCIPolicy selects how operations map onto VCIs (per-comm,
-	// per-tag-hash, explicit hint); see internal/mpi/vci.
-	VCIPolicy vci.Policy
 	// Progress selects who drives the progress engine (progressd.go):
 	// ProgressPolling (default, the paper's poll-from-Wait shape,
 	// byte-identical to the pre-existing code paths), ProgressStrong
@@ -180,7 +175,7 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("%w: %d processes per node exceed %d cores",
 			ErrIllegalConfig, cfg.ProcsPerNode, cfg.Topo.CoresPerNode())
 	}
-	if err := (vci.Config{N: cfg.VCIs, Policy: cfg.VCIPolicy}).Validate(); err != nil {
+	if err := vci.Validate(cfg.VCIs); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrIllegalConfig, err)
 	}
 	if cfg.VCIs < 1 {
@@ -224,10 +219,7 @@ func NewWorld(cfg Config) (*World, error) {
 			w.tel.ThreadState(t.ID(), w.Eng.Now(), s.String())
 		}
 	}
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = 500_000_000
-	}
-	w.Eng.MaxEvents = cfg.MaxEvents
+	w.Eng.MaxEvents = maxEvents
 	if cfg.MaxWall > 0 {
 		w.Eng.MaxWall = time.Duration(cfg.MaxWall)
 	}
@@ -247,7 +239,7 @@ func NewWorld(cfg Config) (*World, error) {
 			coreCount: coresPerProc,
 		}
 		for v := 0; v < cfg.VCIs; v++ {
-			sh := &vciShard{idx: v}
+			sh := &vciShard{}
 			sh.cs = w.newCSLock(cfg.Cost.CSStateLines)
 			name := fmt.Sprintf("cs[r%d]", rank) // the global section
 			if cfg.VCIs > 1 {
@@ -318,13 +310,6 @@ func (w *World) Run() error {
 
 // FaultPlane returns the active fault plane (nil on a perfect network).
 func (w *World) FaultPlane() *fault.Plane { return w.plane }
-
-// faultEvent forwards a resilience event to the configured observer.
-func (w *World) faultEvent(event string, rank int) {
-	if w.Cfg.OnFaultEvent != nil {
-		w.Cfg.OnFaultEvent(event, w.Eng.Now(), rank)
-	}
-}
 
 // Comm is a communicator: a matching context over a group of processes.
 // The world communicator has a nil ranks slice (identity mapping); Dup and

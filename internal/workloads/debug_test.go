@@ -87,7 +87,7 @@ func TestDebugN2NClasses(t *testing.T) {
 	for _, k := range []simlock.Kind{simlock.KindTicket, simlock.KindPriority} {
 		rec := telemetry.New()
 		r, err := N2N(N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64, Windows: 6,
-			Mode: N2NStream, Tel: rec})
+			Tel: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,73 +95,5 @@ func TestDebugN2NClasses(t *testing.T) {
 		t.Logf("%v: rate=%.0f acquisitions=%d high=%d low=%d handoff(avg=%.0f max=%d) unexpected=%d",
 			k, r.RateMsgsPerSec, lp.Acquisitions, lp.HighAcq, lp.LowAcq,
 			lp.Handoff.MeanNs, lp.Handoff.MaxNs, r.UnexpectedHits)
-	}
-}
-
-// TestDebugN2NWindowDepth sweeps the in-flight window to find where the
-// priority lock's request-generation promotion pays off.
-func TestDebugN2NWindowDepth(t *testing.T) {
-	for _, win := range []int{3, 6, 9, 18} {
-		var line string
-		for _, k := range []simlock.Kind{simlock.KindTicket, simlock.KindPriority} {
-			r, err := N2N(N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64,
-				Window: win, Windows: 12, Mode: N2NStream})
-			if err != nil {
-				t.Fatal(err)
-			}
-			line += k.String() + "=" + itoa(int64(r.RateMsgsPerSec)) + " unexp=" + itoa(r.UnexpectedHits) + "  "
-		}
-		t.Logf("window=%d: %s", win, line)
-	}
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [24]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
-// TestDebugN2NTagged tries per-thread tagged pairing (shallow match pools).
-func TestDebugN2NTagged(t *testing.T) {
-	for _, win := range []int{3, 6, 12} {
-		var line string
-		for _, k := range []simlock.Kind{simlock.KindTicket, simlock.KindPriority} {
-			r, err := N2N(N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64,
-				Window: win, Windows: 12, Mode: N2NStream, PerThreadTags: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			line += k.String() + "=" + itoa(int64(r.RateMsgsPerSec)) + " unexp=" + itoa(r.UnexpectedHits) + "  "
-		}
-		t.Logf("tagged window=%d: %s", win, line)
-	}
-}
-
-// TestDebugN2NFreeRun tries free-running send windows: sends gated only by
-// send completion, receives reposted independently.
-func TestDebugN2NFreeRun(t *testing.T) {
-	for _, k := range []simlock.Kind{simlock.KindTicket, simlock.KindPriority, simlock.KindMutex} {
-		r, err := N2N(N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64,
-			Window: 9, Windows: 12, Mode: N2NFreeRun})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("freerun %v: rate=%.0f unexp=%d", k, r.RateMsgsPerSec, r.UnexpectedHits)
 	}
 }

@@ -12,34 +12,6 @@ import (
 	"mpicontend/internal/telemetry"
 )
 
-// N2NMode selects how each thread structures its message stream.
-type N2NMode int
-
-const (
-	// N2NBatch posts a window of sends, then a window of receives, and
-	// completes them with Waitall — the structure of the paper's
-	// benchmark, which derives from the windowed throughput benchmark.
-	N2NBatch N2NMode = iota
-	// N2NStream keeps a sliding window: wait for the oldest request,
-	// re-issue its replacement (fully self-clocked continuous stream).
-	N2NStream
-	// N2NFreeRun replenishes sends on send completion and receives on
-	// receive completion, independently.
-	N2NFreeRun
-)
-
-// String names the mode.
-func (m N2NMode) String() string {
-	switch m {
-	case N2NBatch:
-		return "batch"
-	case N2NStream:
-		return "stream"
-	default:
-		return "freerun"
-	}
-}
-
 // N2NParams configures the all-to-all streaming benchmark of §5.2: every
 // process runs a team of threads, each streaming windows of messages to and
 // from all other processes. Unlike the point-to-point benchmark, a thread's
@@ -58,9 +30,6 @@ type N2NParams struct {
 	Window  int
 	Windows int
 	Seed    uint64
-	// Mode selects the streaming structure (default N2NBatch, the
-	// paper's shape).
-	Mode N2NMode
 	// PerThreadTags pairs thread t of each rank with thread t of every
 	// peer via tags, making match pools per-thread (shallow) instead of
 	// pooled per-process.
@@ -70,18 +39,17 @@ type N2NParams struct {
 	// peer, Window/peers partitions per window, each Pready a lock-free
 	// bitmap update, and a single aggregated transfer per (peer, window)
 	// — so the send path acquires the runtime lock once per aggregate
-	// instead of once per message. Uses the batch shape regardless of
-	// Mode.
+	// instead of once per message.
 	Partitioned bool
 	// VCIs shards each proc's runtime into this many virtual communication
 	// interfaces (0/1 = the unsharded byte-identical runtime); VCIPolicy
-	// picks the operation→VCI mapping. With PerThreadTags and the
-	// per-tag-hash policy the per-thread streams land on hashed VCIs
-	// (subject to hash collisions); under the Explicit policy the
-	// benchmark instead dups one communicator per thread during setup and
-	// pins thread t's comm to VCI t%VCIs — the per-thread-communicator
-	// pattern the VCI literature recommends, giving a collision-free,
-	// perfectly balanced mapping at every shard count.
+	// places the threads' traffic on them. Under PerComm every thread
+	// streams over the world communicator, whose context hash names one
+	// shard. Under Explicit the benchmark dups one communicator per
+	// thread during setup and pins thread t's comm to VCI t%VCIs — the
+	// per-thread-communicator pattern the VCI literature recommends,
+	// giving a collision-free, perfectly balanced mapping at every shard
+	// count.
 	VCIs      int
 	VCIPolicy vci.Policy
 	// Progress selects who drives the progress engine (docs/PROGRESS.md):
@@ -147,16 +115,15 @@ func N2N(p N2NParams) (N2NResult, error) {
 	p = p.withDefaults()
 	var res N2NResult
 	w, err := mpi.NewWorld(mpi.Config{
-		Topo:      machine.Nehalem2x4(p.Procs),
-		Lock:      p.Lock,
-		Binding:   p.Binding,
-		Seed:      p.Seed,
-		Fault:     p.Fault,
-		MaxWall:   p.MaxWall,
-		Tel:       p.Tel,
-		VCIs:      p.VCIs,
-		VCIPolicy: p.VCIPolicy,
-		Progress:  p.Progress,
+		Topo:     machine.Nehalem2x4(p.Procs),
+		Lock:     p.Lock,
+		Binding:  p.Binding,
+		Seed:     p.Seed,
+		Fault:    p.Fault,
+		MaxWall:  p.MaxWall,
+		Tel:      p.Tel,
+		VCIs:     p.VCIs,
+		Progress: p.Progress,
 	})
 	if err != nil {
 		return res, err
@@ -167,13 +134,9 @@ func N2N(p N2NParams) (N2NResult, error) {
 	// and the shard mapping is exact, not hashed.
 	var comms []*mpi.Comm
 	if p.VCIPolicy == vci.Explicit {
-		n := p.VCIs
-		if n < 1 {
-			n = 1
-		}
 		comms = make([]*mpi.Comm, p.Threads)
 		for t := range comms {
-			comms[t] = w.SetupComm().SetVCI(t % n)
+			comms[t] = w.SetupComm().SetVCI(t % w.Cfg.VCIs)
 		}
 	}
 	var endAt int64
@@ -212,7 +175,7 @@ func N2N(p N2NParams) (N2NResult, error) {
 	return res, nil
 }
 
-// runN2NThread drives one benchmark thread in the configured mode.
+// runN2NThread drives one benchmark thread.
 func runN2NThread(th *mpi.Thread, c *mpi.Comm, p N2NParams, rank, t int, endAt *int64) {
 	peers := make([]int, 0, p.Procs-1)
 	for q := 0; q < p.Procs; q++ {
@@ -235,78 +198,28 @@ func runN2NThread(th *mpi.Thread, c *mpi.Comm, p N2NParams, rank, t int, endAt *
 		return
 	}
 
-	type slot struct {
-		req  *mpi.Request
-		peer int
-		recv bool
-	}
-	issue := func(peer int, recv bool) slot {
+	issue := func(peer int, recv bool) *mpi.Request {
 		th.S.Sleep(th.P.Cost().AppPerMessageWork)
 		if recv {
-			return slot{th.Irecv(c, peer, tag), peer, true}
+			return th.Irecv(c, peer, tag)
 		}
-		return slot{th.Isend(c, peer, tag, p.MsgBytes, nil), peer, false}
+		return th.Isend(c, peer, tag, p.MsgBytes, nil)
 	}
 
-	switch p.Mode {
-	case N2NBatch:
-		// Sends go first, so arrivals race the receive posting: a thread
-		// starved at the main-path entry posts late and its peers'
-		// messages detour through the unexpected queue (§5.2).
-		rs := make([]*mpi.Request, 0, 2*p.Window)
-		for win := 0; win < p.Windows; win++ {
-			rs = rs[:0]
-			for i := 0; i < p.Window; i++ {
-				s := issue(peers[(i+t)%len(peers)], false)
-				rs = append(rs, s.req)
-			}
-			for i := 0; i < p.Window; i++ {
-				s := issue(peers[(i+t)%len(peers)], true)
-				rs = append(rs, s.req)
-			}
-			th.Waitall(rs) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Waitall
-			stamp()
-		}
-
-	case N2NStream:
-		var q []slot
+	// Sends go first, so arrivals race the receive posting: a thread
+	// starved at the main-path entry posts late and its peers' messages
+	// detour through the unexpected queue (§5.2).
+	rs := make([]*mpi.Request, 0, 2*p.Window)
+	for win := 0; win < p.Windows; win++ {
+		rs = rs[:0]
 		for i := 0; i < p.Window; i++ {
-			peer := peers[(i+t)%len(peers)]
-			q = append(q, issue(peer, false), issue(peer, true))
+			rs = append(rs, issue(peers[(i+t)%len(peers)], false))
 		}
-		remaining := p.Window * (p.Windows - 1)
-		for len(q) > 0 {
-			s := q[0]
-			q = q[1:]
-			th.Wait(s.req) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Wait
-			if s.recv && remaining > 0 {
-				remaining--
-				q = append(q, issue(s.peer, false), issue(s.peer, true))
-			}
-			stamp()
-		}
-
-	case N2NFreeRun:
-		var q []slot
 		for i := 0; i < p.Window; i++ {
-			peer := peers[(i+t)%len(peers)]
-			q = append(q, issue(peer, false), issue(peer, true))
+			rs = append(rs, issue(peers[(i+t)%len(peers)], true))
 		}
-		sendsLeft := p.Window * (p.Windows - 1)
-		recvsLeft := sendsLeft
-		for len(q) > 0 {
-			s := q[0]
-			q = q[1:]
-			th.Wait(s.req) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Wait
-			if s.recv && recvsLeft > 0 {
-				recvsLeft--
-				q = append(q, issue(s.peer, true))
-			} else if !s.recv && sendsLeft > 0 {
-				sendsLeft--
-				q = append(q, issue(s.peer, false))
-			}
-			stamp()
-		}
+		th.Waitall(rs) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Waitall
+		stamp()
 	}
 }
 

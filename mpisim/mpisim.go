@@ -96,14 +96,14 @@ const (
 	LockFree    = mpi.GranLockFree
 )
 
-// VCIPolicy selects how operations map onto a proc's virtual
+// VCIPolicy places N2N threads' traffic on a proc's virtual
 // communication interfaces when VCIs > 1.
 type VCIPolicy = vci.Policy
 
-// Mapping policies of the sharded runtime.
+// N2N placement policies: every thread on the world comm, or one comm
+// per thread pinned to its own VCI.
 const (
 	PerComm     = vci.PerComm
-	PerTagHash  = vci.PerTagHash
 	ExplicitVCI = vci.Explicit
 )
 
